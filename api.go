@@ -542,11 +542,11 @@ func opsRow(d analysis.OpsDist) OpsRow {
 }
 
 func activeRow(a analysis.ActiveStats) ActiveRow {
-	row := ActiveRow{
-		Groups: a.CDF.Len(), MeanDays: a.Summary.Mean, MedianDays: a.Summary.Median,
-		Over60Days: a.Over60d,
-	}
+	row := ActiveRow{Groups: a.CDF.Len(), Over60Days: a.Over60d}
+	// An empty distribution's summary is NaN, which JSON cannot carry.
 	if a.CDF.Len() > 0 {
+		row.MeanDays = a.Summary.Mean
+		row.MedianDays = a.Summary.Median
 		row.P80Days = a.CDF.Quantile(0.8)
 		row.Under15DaysFrac = a.CDF.At(15)
 		row.Under10DaysFrac = a.CDF.At(10)

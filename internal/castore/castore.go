@@ -15,24 +15,42 @@
 // content-addressed the duplicates are harmless: Open keeps the first
 // segment that mentions a hash and ignores re-mentions.
 //
-// Each segment leads with its hash index ahead of the blob bodies, so
-// Open recovers the full hash→segment index by decoding only the index
-// prefix of each file — opening a large store does not decode artifact
-// bodies.
+// Each segment is one JSON document that leads with its index:
+//
+//	{"hashes":[h0,h1,...],"ranges":[[off0,len0],[off1,len1],...],
+//	 "blobs":[{"key":h0,"data":<blob 0>},{"key":h1,"data":<blob 1>},...]}
+//
+// ranges[i] is the byte range of blob i's bytes, counted from the end of
+// the index prefix (the byte after the ranges array). The writer derives
+// the ranges from the blob sizes before it writes a body byte, then
+// streams the bodies straight to the file, so a segment is never buffered
+// whole. Open decodes only the index prefix of each file and checks every
+// range against the file size; Fetch and Compact then read exactly the
+// wanted ranges and SHA-256-verify each blob, so no segment body is ever
+// JSON-decoded.
+//
+// Segments written before the ranges existed carry only the hashes and
+// the blob records. Open finds their ranges with one scan of the body, so
+// reads keep a single code path, and the next compaction rewrites them in
+// the current layout. Either layout decodes as the same JSON document.
 package castore
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
+	"malgraph/internal/parallel"
 	"malgraph/internal/wal"
 )
 
@@ -57,12 +75,26 @@ const (
 	tempPrefix = ".castore-"
 )
 
-// segment is the on-disk JSON shape. Hashes is serialized first so Open
-// can stop decoding after the index; Blobs carries the blob bodies in the
-// same order.
-type segment struct {
-	Hashes []string `json:"hashes"`
-	Blobs  []Blob   `json:"blobs"`
+// The fixed text around the blob records of a segment body. The index
+// prefix ends just before bodyOpen; a record is recordHead, the key,
+// recordMid, the blob bytes and recordTail, with a comma between records.
+const (
+	bodyOpen   = `,"blobs":[`
+	recordHead = `{"key":"`
+	recordMid  = `","data":`
+	recordTail = `}`
+	bodyClose  = "]}\n"
+)
+
+// writeBuffer caps the buffer segments stream through; a smaller segment
+// gets a buffer of its own size and goes out in one write.
+const writeBuffer = 1 << 20
+
+// blobLoc locates one blob: its segment and its absolute byte range.
+type blobLoc struct {
+	seg int
+	off int64
+	n   int64
 }
 
 // Store is a content-addressed artifact store over one directory of
@@ -73,8 +105,8 @@ type Store struct {
 	dir string
 
 	mu sync.Mutex
-	// known maps blob hash → segment id, guarded by mu.
-	known map[string]int
+	// known maps blob hash → where its bytes live, guarded by mu.
+	known map[string]blobLoc
 	// segs lists live segment ids in ascending order, guarded by mu.
 	segs []int
 	// nextSeg is the id the next written segment takes, guarded by mu.
@@ -86,8 +118,9 @@ type Store struct {
 }
 
 // Open creates dir if needed, removes interrupted-write temp files, and
-// indexes every segment by decoding only its hash-index prefix. A nil fs
-// uses the real filesystem.
+// indexes every segment by decoding only its index prefix (segments in
+// the layout without ranges are scanned once instead). A nil fs uses the
+// real filesystem.
 func Open(dir string, fs wal.FS) (*Store, error) {
 	if fs == nil {
 		fs = wal.OSFS()
@@ -98,7 +131,7 @@ func Open(dir string, fs wal.FS) (*Store, error) {
 	st := &Store{
 		fs:      fs,
 		dir:     dir,
-		known:   make(map[string]int),
+		known:   make(map[string]blobLoc),
 		nextSeg: 1,
 	}
 	names, err := os.ReadDir(dir)
@@ -117,17 +150,17 @@ func Open(dir string, fs wal.FS) (*Store, error) {
 		if n, err := fmt.Sscanf(name, segPattern, &id); n != 1 || err != nil {
 			continue
 		}
-		hashes, err := st.readIndex(filepath.Join(dir, name))
+		hashes, spans, err := readSegmentIndex(filepath.Join(dir, name))
 		if err != nil {
 			return nil, fmt.Errorf("castore: segment %s: %w", name, err)
 		}
 		st.segs = append(st.segs, id)
-		for _, h := range hashes {
+		for i, h := range hashes {
 			// First mention wins: after an interrupted compaction the same
 			// blob can appear in the merged segment and in an old one, and
 			// either copy is byte-identical by construction.
 			if _, ok := st.known[h]; !ok {
-				st.known[h] = id
+				st.known[h] = blobLoc{seg: id, off: spans[i][0], n: spans[i][1]}
 			}
 		}
 		if id >= st.nextSeg {
@@ -138,30 +171,116 @@ func Open(dir string, fs wal.FS) (*Store, error) {
 	return st, nil
 }
 
-// readIndex decodes just the "hashes" index prefix of a segment file.
-func (st *Store) readIndex(path string) ([]string, error) {
+// readSegmentIndex opens a segment file and reads its index.
+func readSegmentIndex(path string) ([]string, [][2]int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
-	dec := json.NewDecoder(f)
-	// Walk: { "hashes" : [ ... ] — then stop without decoding blobs.
-	if err := expectDelim(dec, '{'); err != nil {
-		return nil, err
-	}
-	tok, err := dec.Token()
+	info, err := f.Stat()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if key, ok := tok.(string); !ok || key != "hashes" {
-		return nil, fmt.Errorf("malformed segment: expected hashes index, got %v", tok)
+	return readIndex(f, info.Size())
+}
+
+// readIndex decodes a segment's index prefix: the blob hashes and each
+// blob's absolute byte range, checked to lie inside the body. A segment
+// without ranges has its body scanned for them. The ranges come from
+// untrusted bytes, so nothing is allocated from their values — Fetch
+// reads them only after these checks.
+func readIndex(f io.ReaderAt, size int64) ([]string, [][2]int64, error) {
+	dec := json.NewDecoder(io.NewSectionReader(f, 0, size))
+	if err := expectDelim(dec, '{'); err != nil {
+		return nil, nil, err
+	}
+	if err := expectKey(dec, "hashes"); err != nil {
+		return nil, nil, err
 	}
 	var hashes []string
 	if err := dec.Decode(&hashes); err != nil {
+		return nil, nil, err
+	}
+	tok, err := dec.Token()
+	if err != nil {
+		return nil, nil, err
+	}
+	switch tok {
+	case "ranges":
+		var spans [][2]int64
+		if err := dec.Decode(&spans); err != nil {
+			return nil, nil, err
+		}
+		if len(spans) != len(hashes) {
+			return nil, nil, fmt.Errorf("malformed segment: %d ranges for %d hashes", len(spans), len(hashes))
+		}
+		base := dec.InputOffset()
+		for i, sp := range spans {
+			off, n := sp[0], sp[1]
+			if off < 0 || n <= 0 || base > size || off > size-base || n > size-base-off {
+				return nil, nil, fmt.Errorf("malformed segment: blob %d range [%d,+%d) outside body [%d,%d)", i, off, n, base, size)
+			}
+			spans[i][0] = base + off
+		}
+		return hashes, spans, nil
+	case "blobs":
+		spans, err := scanBodies(dec, hashes)
+		return hashes, spans, err
+	default:
+		return nil, nil, fmt.Errorf("malformed segment: expected ranges or blobs, got %v", tok)
+	}
+}
+
+// scanBodies walks the blob records of a segment without ranges and
+// returns each indexed hash's byte range, read off the decoder's offsets.
+func scanBodies(dec *json.Decoder, hashes []string) ([][2]int64, error) {
+	if err := expectDelim(dec, '['); err != nil {
 		return nil, err
 	}
-	return hashes, nil
+	at := make(map[string][2]int64, len(hashes))
+	for dec.More() {
+		if err := expectDelim(dec, '{'); err != nil {
+			return nil, err
+		}
+		var key string
+		var span [2]int64
+		for dec.More() {
+			tok, err := dec.Token()
+			if err != nil {
+				return nil, err
+			}
+			switch tok {
+			case "key":
+				err = dec.Decode(&key)
+			case "data":
+				var raw json.RawMessage
+				err = dec.Decode(&raw)
+				end := dec.InputOffset()
+				span = [2]int64{end - int64(len(raw)), int64(len(raw))}
+			default:
+				err = dec.Decode(new(json.RawMessage))
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		if err := expectDelim(dec, '}'); err != nil {
+			return nil, err
+		}
+		if _, dup := at[key]; !dup && span[1] > 0 {
+			at[key] = span
+		}
+	}
+	spans := make([][2]int64, len(hashes))
+	for i, h := range hashes {
+		sp, ok := at[h]
+		if !ok {
+			return nil, fmt.Errorf("malformed segment: indexed blob %s has no body", h)
+		}
+		spans[i] = sp
+	}
+	return spans, nil
 }
 
 func expectDelim(dec *json.Decoder, want json.Delim) error {
@@ -171,6 +290,17 @@ func expectDelim(dec *json.Decoder, want json.Delim) error {
 	}
 	if d, ok := tok.(json.Delim); !ok || d != want {
 		return fmt.Errorf("malformed segment: expected %q, got %v", want, tok)
+	}
+	return nil
+}
+
+func expectKey(dec *json.Decoder, want string) error {
+	tok, err := dec.Token()
+	if err != nil {
+		return err
+	}
+	if key, ok := tok.(string); !ok || key != want {
+		return fmt.Errorf("malformed segment: expected %s index, got %v", want, tok)
 	}
 	return nil
 }
@@ -230,9 +360,12 @@ func (st *Store) Append(blobs []Blob) (int, error) {
 		if got := KeyOf(b.Data); got != b.Key {
 			return 0, fmt.Errorf("castore: blob key %s does not match content key %s", b.Key, got)
 		}
+		if !json.Valid(b.Data) {
+			return 0, fmt.Errorf("castore: blob %s is not a JSON value", b.Key)
+		}
 	}
 	st.mu.Lock()
-	seg := segment{}
+	var fresh []Blob
 	inSeg := make(map[string]bool, len(blobs))
 	for _, b := range blobs {
 		h := b.Key
@@ -243,10 +376,9 @@ func (st *Store) Append(blobs []Blob) (int, error) {
 			continue
 		}
 		inSeg[h] = true
-		seg.Hashes = append(seg.Hashes, h)
-		seg.Blobs = append(seg.Blobs, b)
+		fresh = append(fresh, b)
 	}
-	if len(seg.Hashes) == 0 {
+	if len(fresh) == 0 {
 		st.mu.Unlock()
 		return 0, nil
 	}
@@ -254,30 +386,65 @@ func (st *Store) Append(blobs []Blob) (int, error) {
 	st.nextSeg++
 	st.mu.Unlock()
 
-	if err := st.writeSegment(id, &seg); err != nil {
+	hashes := make([]string, len(fresh))
+	sizes := make([]int64, len(fresh))
+	for i, b := range fresh {
+		hashes[i] = b.Key
+		sizes[i] = int64(len(b.Data))
+	}
+	offs, err := st.writeSegment(id, hashes, sizes, func(i int) ([]byte, error) { return fresh[i].Data, nil })
+	if err != nil {
 		return 0, err
 	}
 
 	st.mu.Lock()
 	st.segs = append(st.segs, id)
 	sort.Ints(st.segs)
-	for _, h := range seg.Hashes {
+	for i, h := range hashes {
 		if _, ok := st.known[h]; !ok {
-			st.known[h] = id
+			st.known[h] = blobLoc{seg: id, off: offs[i], n: sizes[i]}
 		}
 	}
 	st.mu.Unlock()
-	return len(seg.Hashes), nil
+	return len(hashes), nil
 }
 
-// writeSegment writes one segment file with full crash discipline.
-func (st *Store) writeSegment(id int, seg *segment) (err error) {
+// writeSegment streams one segment file with full crash discipline and
+// returns each blob's absolute offset. The index is computed from the
+// sizes alone; body(i) supplies blob i's bytes (exactly sizes[i] of them)
+// when the writer reaches it, so only one blob need be in hand at a time.
+func (st *Store) writeSegment(id int, hashes []string, sizes []int64, body func(i int) ([]byte, error)) (offs []int64, err error) {
+	hashJSON, err := json.Marshal(hashes)
+	if err != nil {
+		return nil, fmt.Errorf("castore: encode index: %w", err)
+	}
+	prefix := append([]byte(`{"hashes":`), hashJSON...)
+	prefix = append(prefix, `,"ranges":[`...)
+	rel := make([]int64, len(hashes))
+	at := int64(len(bodyOpen))
+	for i, h := range hashes {
+		if i > 0 {
+			at++ // the comma between records
+			prefix = append(prefix, ',')
+		}
+		at += int64(len(recordHead) + len(h) + len(recordMid))
+		rel[i] = at
+		prefix = append(prefix, '[')
+		prefix = strconv.AppendInt(prefix, at, 10)
+		prefix = append(prefix, ',')
+		prefix = strconv.AppendInt(prefix, sizes[i], 10)
+		prefix = append(prefix, ']')
+		at += sizes[i] + int64(len(recordTail))
+	}
+	prefix = append(prefix, ']')
+	base := int64(len(prefix))
+
 	name := fmt.Sprintf(segPattern, id)
 	tmp := filepath.Join(st.dir, tempPrefix+name)
 	final := filepath.Join(st.dir, name)
 	f, err := st.fs.OpenFile(tmp)
 	if err != nil {
-		return fmt.Errorf("castore: %w", err)
+		return nil, fmt.Errorf("castore: %w", err)
 	}
 	defer func() {
 		if err != nil {
@@ -285,28 +452,82 @@ func (st *Store) writeSegment(id int, seg *segment) (err error) {
 			os.Remove(tmp)
 		}
 	}()
-	enc := json.NewEncoder(f)
-	if err = enc.Encode(seg); err != nil {
-		return fmt.Errorf("castore: encode segment: %w", err)
+	w := bufio.NewWriterSize(f, int(min(base+at+int64(len(bodyClose)), writeBuffer)))
+	w.Write(prefix)
+	w.WriteString(bodyOpen)
+	for i, h := range hashes {
+		if i > 0 {
+			w.WriteByte(',')
+		}
+		w.WriteString(recordHead)
+		w.WriteString(h)
+		w.WriteString(recordMid)
+		data, berr := body(i)
+		if berr != nil {
+			return nil, berr
+		}
+		if int64(len(data)) != sizes[i] {
+			return nil, fmt.Errorf("castore: blob %s is %d bytes, indexed as %d", h, len(data), sizes[i])
+		}
+		w.Write(data)
+		w.WriteString(recordTail)
+	}
+	w.WriteString(bodyClose)
+	// bufio keeps the first write error and returns it from every later
+	// call, so checking Flush covers all of the above.
+	if err = w.Flush(); err != nil {
+		return nil, fmt.Errorf("castore: write segment: %w", err)
 	}
 	if err = f.Sync(); err != nil {
-		return fmt.Errorf("castore: sync segment: %w", err)
+		return nil, fmt.Errorf("castore: sync segment: %w", err)
 	}
 	if err = f.Close(); err != nil {
-		return fmt.Errorf("castore: close segment: %w", err)
+		return nil, fmt.Errorf("castore: close segment: %w", err)
 	}
 	if err = os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("castore: publish segment: %w", err)
+		return nil, fmt.Errorf("castore: publish segment: %w", err)
 	}
 	if err = st.fs.SyncDir(st.dir); err != nil {
-		return fmt.Errorf("castore: sync dir: %w", err)
+		return nil, fmt.Errorf("castore: sync dir: %w", err)
 	}
-	return nil
+	for i := range rel {
+		rel[i] += base
+	}
+	return rel, nil
 }
 
-// Fetch resolves content keys to blob bytes, decoding only the segments
-// that contain at least one requested blob. Every returned blob is
-// re-verified against its key. Unknown keys are an error.
+// located is one wanted blob and where the index says it lives.
+type located struct {
+	hash string
+	loc  blobLoc
+}
+
+// sortLocated orders blobs by segment, then offset, so each file is read
+// front to back.
+func sortLocated(ls []located) {
+	sort.Slice(ls, func(i, j int) bool {
+		if ls[i].loc.seg != ls[j].loc.seg {
+			return ls[i].loc.seg < ls[j].loc.seg
+		}
+		return ls[i].loc.off < ls[j].loc.off
+	})
+}
+
+// readBlob reads one blob's byte range and verifies it against its key.
+func readBlob(f io.ReaderAt, b located) ([]byte, error) {
+	data := make([]byte, b.loc.n)
+	if _, err := f.ReadAt(data, b.loc.off); err != nil {
+		return nil, fmt.Errorf("castore: segment %d: read blob %s: %w", b.loc.seg, b.hash, err)
+	}
+	if got := KeyOf(data); got != b.hash {
+		return nil, fmt.Errorf("castore: segment %d: blob %s content hashes to %s", b.loc.seg, b.hash, got)
+	}
+	return data, nil
+}
+
+// Fetch resolves content keys to blob bytes, reading exactly each blob's
+// byte range and re-verifying it against its key. Unknown keys are an
+// error.
 func (st *Store) Fetch(hashes []string) (map[string]json.RawMessage, error) {
 	out := make(map[string]json.RawMessage, len(hashes))
 	// A concurrent compaction can unlink a segment between the index
@@ -316,94 +537,89 @@ func (st *Store) Fetch(hashes []string) (map[string]json.RawMessage, error) {
 	// segment is published before the old ones are unlinked.
 	for attempt := 0; ; attempt++ {
 		st.mu.Lock()
-		want := make(map[string]bool, len(hashes))
-		segsNeeded := make(map[int]bool)
+		var want []located
+		seen := make(map[string]bool, len(hashes))
 		for _, h := range hashes {
-			if want[h] || out[h] != nil {
+			if seen[h] || out[h] != nil {
 				continue
 			}
-			id, ok := st.known[h]
+			loc, ok := st.known[h]
 			if !ok {
 				st.mu.Unlock()
 				return nil, fmt.Errorf("castore: unknown blob %s", h)
 			}
-			want[h] = true
-			segsNeeded[id] = true
+			seen[h] = true
+			want = append(want, located{h, loc})
 		}
 		st.mu.Unlock()
 		if len(want) == 0 {
 			return out, nil
 		}
-
-		ids := make([]int, 0, len(segsNeeded))
-		for id := range segsNeeded {
-			ids = append(ids, id)
+		sortLocated(want)
+		data, err := st.readLocated(want)
+		if err != nil {
+			return nil, err
 		}
-		sort.Ints(ids)
 		retry := false
-		for _, id := range ids {
-			err := st.fetchFromSegment(id, want, out)
-			if errors.Is(err, os.ErrNotExist) {
+		for i, b := range want {
+			if data[i] == nil {
 				retry = true
 				continue
 			}
-			if err != nil {
-				return nil, err
-			}
+			out[b.hash] = data[i]
 		}
-		missing := false
-		for h := range want {
-			if _, ok := out[h]; !ok {
-				missing = true
-			}
-		}
-		if !missing {
+		if !retry {
 			return out, nil
 		}
-		if !retry || attempt >= 3 {
+		if attempt >= 3 {
 			return nil, fmt.Errorf("castore: indexed blob missing from its segment")
 		}
 	}
 }
 
-func (st *Store) fetchFromSegment(id int, want map[string]bool, out map[string]json.RawMessage) error {
-	path := filepath.Join(st.dir, fmt.Sprintf(segPattern, id))
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return err
+// readLocated reads and verifies every wanted blob, concurrently across
+// Workers() goroutines, opening each segment once. A blob whose segment
+// is gone — compacted away since the index lookup — comes back nil.
+func (st *Store) readLocated(want []located) ([][]byte, error) {
+	files := make(map[int]*os.File)
+	defer func() {
+		for _, f := range files {
+			if f != nil {
+				f.Close()
+			}
 		}
-		return fmt.Errorf("castore: %w", err)
-	}
-	defer f.Close()
-	var seg segment
-	if err := json.NewDecoder(f).Decode(&seg); err != nil {
-		return fmt.Errorf("castore: segment %d: %w", id, err)
-	}
-	for _, b := range seg.Blobs {
-		if len(b.Data) == 0 || !want[b.Key] {
+	}()
+	for _, b := range want {
+		if _, ok := files[b.loc.seg]; ok {
 			continue
 		}
-		if _, ok := out[b.Key]; ok {
-			continue
+		f, err := os.Open(filepath.Join(st.dir, fmt.Sprintf(segPattern, b.loc.seg)))
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("castore: %w", err)
 		}
-		if got := KeyOf(b.Data); got != b.Key {
-			return fmt.Errorf("castore: segment %d: blob %s content hashes to %s", id, b.Key, got)
-		}
-		out[b.Key] = b.Data
+		files[b.loc.seg] = f
 	}
-	return nil
+	data := make([][]byte, len(want))
+	err := parallel.ForEachErr(len(want), func(i int) error {
+		f := files[want[i].loc.seg]
+		if f == nil {
+			return nil
+		}
+		var err error
+		data[i], err = readBlob(f, want[i])
+		return err
+	})
+	return data, err
 }
 
-// SegmentFile names one live segment for streaming: its file name (within
-// the store directory) and the blob hashes it carries.
+// SegmentFile names one live segment for streaming: its file name within
+// the store directory.
 type SegmentFile struct {
-	Name   string
-	Hashes []string
+	Name string
 }
 
 // OpenSegments opens every live segment for reading and returns the open
-// files alongside the set of hashes they cover. The files stay readable
+// files alongside their names. The files stay readable
 // even if a concurrent compaction unlinks them (POSIX semantics), so a
 // streaming reader gets a consistent snapshot of the store without
 // blocking writers. The caller closes the files.
@@ -421,20 +637,14 @@ func (st *Store) OpenSegments() ([]*os.File, []SegmentFile, error) {
 			if errors.Is(err, os.ErrNotExist) {
 				// Compacted away between snapshot of ids and open; its blobs
 				// live on in the merged segment, which a fresh OpenSegments
-				// would return. Callers treat covered-hash sets as advisory.
+				// would return.
 				continue
 			}
 			closeAll(files)
 			return nil, nil, fmt.Errorf("castore: %w", err)
 		}
-		hashes, err := st.readIndex(filepath.Join(st.dir, name))
-		if err != nil {
-			f.Close()
-			closeAll(files)
-			return nil, nil, fmt.Errorf("castore: segment %s: %w", name, err)
-		}
 		files = append(files, f)
-		metas = append(metas, SegmentFile{Name: name, Hashes: hashes})
+		metas = append(metas, SegmentFile{Name: name})
 	}
 	return files, metas, nil
 }
@@ -446,11 +656,13 @@ func closeAll(files []*os.File) {
 }
 
 // Compact merges every live segment into one new segment carrying only
-// the blobs in live, then unlinks the old segments. At most one
-// compaction runs at a time; a concurrent call returns immediately with
-// compacted=false. Appends may proceed concurrently — the merged segment
-// covers exactly the segments captured at entry, and segments appended
-// later are untouched.
+// the blobs in live, then unlinks the old segments. Only the retained
+// blobs' byte ranges are read, each verified against its key before it is
+// streamed into the merged segment. At most one compaction runs at a
+// time; a concurrent call returns immediately with compacted=false.
+// Appends may proceed concurrently — the merged segment covers exactly
+// the segments captured at entry, and segments appended later are
+// untouched.
 //
 // Crash safety: the merged segment is published atomically before any old
 // segment is unlinked, so every crash point leaves all live blobs
@@ -466,6 +678,15 @@ func (st *Store) Compact(live map[string]bool) (compacted bool, err error) {
 	oldIDs := append([]int(nil), st.segs...)
 	id := st.nextSeg
 	st.nextSeg++
+	// The retained blobs: every indexed blob of an old segment that is
+	// live. Appends never move an indexed blob, so these locations hold
+	// until this compaction replaces them.
+	var keep []located
+	for h, loc := range st.known {
+		if containsInt(oldIDs, loc.seg) && (live == nil || live[h]) {
+			keep = append(keep, located{h, loc})
+		}
+	}
 	st.mu.Unlock()
 	defer func() {
 		st.mu.Lock()
@@ -476,42 +697,22 @@ func (st *Store) Compact(live map[string]bool) (compacted bool, err error) {
 	if len(oldIDs) == 0 {
 		return false, nil
 	}
+	sortLocated(keep)
 
-	// Gather the retained blobs from the old segments, first mention wins.
-	merged := segment{}
-	kept := make(map[string]bool)
-	for _, oid := range oldIDs {
-		path := filepath.Join(st.dir, fmt.Sprintf(segPattern, oid))
-		f, err := os.Open(path)
-		if err != nil {
-			return false, fmt.Errorf("castore: %w", err)
+	replace := func(newSeg int, offs []int64) {
+		newLoc := make(map[string]blobLoc, len(keep))
+		for i, b := range keep {
+			newLoc[b.hash] = blobLoc{seg: newSeg, off: offs[i], n: b.loc.n}
 		}
-		var seg segment
-		err = json.NewDecoder(f).Decode(&seg)
-		f.Close()
-		if err != nil {
-			return false, fmt.Errorf("castore: segment %d: %w", oid, err)
-		}
-		for _, b := range seg.Blobs {
-			if len(b.Data) == 0 || kept[b.Key] {
-				continue
-			}
-			if live != nil && !live[b.Key] {
-				continue
-			}
-			kept[b.Key] = true
-			merged.Hashes = append(merged.Hashes, b.Key)
-			merged.Blobs = append(merged.Blobs, b)
-		}
-	}
-
-	replace := func(newSegs []int) {
 		st.mu.Lock()
 		// Keep segments appended while we compacted; drop the merged-away
 		// ids and re-point every kept hash at the merged segment. Hashes
 		// dropped as dead are deleted unless a concurrent append re-added
 		// them into a newer segment.
-		retain := newSegs
+		var retain []int
+		if len(keep) > 0 {
+			retain = append(retain, newSeg)
+		}
 		for _, sid := range st.segs {
 			if !containsInt(oldIDs, sid) {
 				retain = append(retain, sid)
@@ -519,12 +720,12 @@ func (st *Store) Compact(live map[string]bool) (compacted bool, err error) {
 		}
 		sort.Ints(retain)
 		st.segs = retain
-		for h, sid := range st.known {
-			if !containsInt(oldIDs, sid) {
+		for h, loc := range st.known {
+			if !containsInt(oldIDs, loc.seg) {
 				continue
 			}
-			if kept[h] && len(newSegs) > 0 {
-				st.known[h] = newSegs[0]
+			if nl, ok := newLoc[h]; ok {
+				st.known[h] = nl
 			} else {
 				delete(st.known, h)
 			}
@@ -532,14 +733,15 @@ func (st *Store) Compact(live map[string]bool) (compacted bool, err error) {
 		st.mu.Unlock()
 	}
 
-	if len(merged.Hashes) == 0 {
+	if len(keep) == 0 {
 		// Nothing retained: just drop the old segments.
-		replace(nil)
+		replace(id, nil)
 	} else {
-		if err := st.writeSegment(id, &merged); err != nil {
+		offs, err := st.writeMerged(id, keep)
+		if err != nil {
 			return false, err
 		}
-		replace([]int{id})
+		replace(id, offs)
 	}
 
 	// Unlink the merged-away segments only after the merged segment is
@@ -553,6 +755,34 @@ func (st *Store) Compact(live map[string]bool) (compacted bool, err error) {
 		return false, fmt.Errorf("castore: sync dir: %w", err)
 	}
 	return true, nil
+}
+
+// writeMerged streams the kept blobs, in order, from their old segments
+// into segment id, verifying each one on the way through.
+func (st *Store) writeMerged(id int, keep []located) ([]int64, error) {
+	files := make(map[int]*os.File)
+	defer func() {
+		for _, f := range files {
+			f.Close()
+		}
+	}()
+	hashes := make([]string, len(keep))
+	sizes := make([]int64, len(keep))
+	for i, b := range keep {
+		hashes[i] = b.hash
+		sizes[i] = b.loc.n
+		if files[b.loc.seg] != nil {
+			continue
+		}
+		f, err := os.Open(filepath.Join(st.dir, fmt.Sprintf(segPattern, b.loc.seg)))
+		if err != nil {
+			return nil, fmt.Errorf("castore: %w", err)
+		}
+		files[b.loc.seg] = f
+	}
+	return st.writeSegment(id, hashes, sizes, func(i int) ([]byte, error) {
+		return readBlob(files[keep[i].loc.seg], keep[i])
+	})
 }
 
 func containsInt(xs []int, x int) bool {

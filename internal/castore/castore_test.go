@@ -346,17 +346,20 @@ func TestConcurrentAppendFetchCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	const writers, perWriter = 4, 16
+	// Every blob a writer commits is live before any Append starts, as an
+	// engine references a chunk before its checkpoint writes it. A live set
+	// sampled from the blobs committed so far would race the compaction's
+	// capture of the segment list, and Compact may then drop a blob that
+	// was appended in between. Each step also appends a dead blob, which
+	// compaction is free to drop.
+	live := make(map[string]bool)
+	for w := 0; w < writers; w++ {
+		for i := 0; i < perWriter; i++ {
+			live[blobOf(fmt.Sprintf("writer-%d-blob-%d", w, i)).Key] = true
+		}
+	}
 	var mu sync.Mutex
 	committed := make(map[string]string) // key → data, guarded by mu
-	liveSet := func() map[string]bool {
-		mu.Lock()
-		defer mu.Unlock()
-		live := make(map[string]bool, len(committed))
-		for k := range committed {
-			live[k] = true
-		}
-		return live
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -364,7 +367,8 @@ func TestConcurrentAppendFetchCompact(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				b := blobOf(fmt.Sprintf("writer-%d-blob-%d", w, i))
-				if _, err := st.Append([]Blob{b}); err != nil {
+				dead := blobOf(fmt.Sprintf("writer-%d-dead-%d", w, i))
+				if _, err := st.Append([]Blob{b, dead}); err != nil {
 					t.Errorf("Append: %v", err)
 					return
 				}
@@ -389,7 +393,7 @@ func TestConcurrentAppendFetchCompact(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 8; i++ {
-			if _, err := st.Compact(liveSet()); err != nil {
+			if _, err := st.Compact(live); err != nil {
 				t.Errorf("Compact: %v", err)
 				return
 			}

@@ -30,6 +30,7 @@ import (
 	"malgraph/internal/collect"
 	"malgraph/internal/ecosys"
 	"malgraph/internal/graph"
+	"malgraph/internal/parallel"
 	"malgraph/internal/reports"
 	"malgraph/internal/textsim"
 )
@@ -443,6 +444,14 @@ func sortedRawKeys(m map[string]json.RawMessage) []string {
 // store attached, so the first checkpoint after an upgrade re-bases every
 // section into the store. Either way the returned engine checkpoints
 // segmentedly from then on.
+//
+// Decoding fans out across parallel.Workers(): every chunk of every section
+// decodes concurrently (the graph re-base alongside the rest), then each
+// section replays its chunks serially in manifest order, the sections
+// concurrently with one another, and artifact blobs decode concurrently.
+// Every stage keeps the error of the first failure in manifest and key
+// order, so a restore returns the same engine, or the same error, as a
+// sequential one under any GOMAXPROCS.
 func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	buf, err := io.ReadAll(r)
 	if err != nil {
@@ -479,165 +488,139 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("restore: fetch chunks: %w", err)
 	}
-	logged := make(map[string]int, len(sectionNames))
-	replayKV := func(section string) (map[string]json.RawMessage, error) {
-		state := make(map[string]json.RawMessage)
-		for _, ref := range man.Sections[section] {
-			var ch kvChunk
-			if err := json.Unmarshal(chunkData[ref], &ch); err != nil {
-				return nil, fmt.Errorf("restore %s chunk %s: %w", section, ref, err)
-			}
-			for k, v := range ch.Set {
-				state[k] = v
-			}
-			for _, k := range ch.Del {
-				delete(state, k)
-			}
-			logged[section] += len(ch.Set) + len(ch.Del)
-		}
-		return state, nil
-	}
+	chunks := decodeChunks(&man, chunkData)
 
-	// Graph: replay the chunk log (a re-base resets, ops apply on top).
-	g := graph.New()
-	for _, ref := range man.Sections[sectionGraph] {
-		var gc graphChunk
-		if err := json.Unmarshal(chunkData[ref], &gc); err != nil {
-			return nil, fmt.Errorf("restore graph chunk %s: %w", ref, err)
-		}
-		if len(gc.Reset) > 0 {
-			g, err = graph.ReadJSON(bytes.NewReader(gc.Reset))
+	var (
+		g          *graph.Graph
+		decoded    []collect.DecodedEntry
+		ds         *collect.Result
+		reps       []*reports.Report
+		items      map[string][]snapshotItem
+		imports    map[string][]string
+		partitions map[string]map[string][]textsim.Cluster
+		pairOwners map[string]string
+		// graphLogged is the graph chain's replayed node, edge and op count.
+		graphLogged int
+	)
+
+	// The tasks run in the order a sequential restore meets their errors,
+	// and parallel.Do reports the first error in argument order.
+	err = parallel.Do(
+		// Graph: replay the chunk log (a re-base resets, ops apply on top).
+		func() error {
+			g = graph.New()
+			for i, dc := range chunks[sectionGraph] {
+				if dc.err != nil {
+					return dc.err
+				}
+				if dc.reset != nil {
+					g = dc.reset
+					graphLogged = g.NodeCount() + g.EdgeCount()
+				}
+				if len(dc.graph.Ops) > 0 {
+					if err := g.Apply(dc.graph.Ops); err != nil {
+						return fmt.Errorf("restore graph ops %s: %w", man.Sections[sectionGraph][i], err)
+					}
+					graphLogged += len(dc.graph.Ops)
+				}
+			}
+			return nil
+		},
+		// Dataset: replay entry records, then resolve and attach artifact
+		// blobs.
+		func() error {
+			entState, err := replayKV(chunks[sectionDataset])
 			if err != nil {
-				return nil, fmt.Errorf("restore graph reset %s: %w", ref, err)
+				return err
 			}
-			logged[sectionGraph] = g.NodeCount() + g.EdgeCount()
-		}
-		if len(gc.Ops) > 0 {
-			if err := g.Apply(gc.Ops); err != nil {
-				return nil, fmt.Errorf("restore graph ops %s: %w", ref, err)
+			entKeys := sortedRawKeys(entState)
+			decoded = make([]collect.DecodedEntry, len(entKeys))
+			if err := parallel.ForEachErr(len(entKeys), func(i int) error {
+				de, err := collect.DecodeEntry(entState[entKeys[i]])
+				if err != nil {
+					return fmt.Errorf("restore entry %s: %w", entKeys[i], err)
+				}
+				decoded[i] = de
+				return nil
+			}); err != nil {
+				return err
 			}
-			logged[sectionGraph] += len(gc.Ops)
-		}
-	}
-
-	// Dataset: replay entry records, then resolve and attach artifact blobs.
-	entState, err := replayKV(sectionDataset)
+			var wantArts []string
+			for _, de := range decoded {
+				if de.BlobRef != "" && de.Entry.Artifact == nil {
+					wantArts = append(wantArts, de.BlobRef)
+				}
+			}
+			artData, err := st.Fetch(wantArts)
+			if err != nil {
+				return fmt.Errorf("restore: fetch artifacts: %w", err)
+			}
+			if err := parallel.ForEachErr(len(decoded), func(i int) error {
+				ref := decoded[i].BlobRef
+				if ref == "" || decoded[i].Entry.Artifact != nil {
+					return nil
+				}
+				var art ecosys.Artifact
+				if err := json.Unmarshal(artData[ref], &art); err != nil {
+					return fmt.Errorf("restore artifact %s: %w", ref, err)
+				}
+				decoded[i].Entry.Artifact = &art
+				return nil
+			}); err != nil {
+				return err
+			}
+			ds, err = collect.AssembleResult(man.Header, decoded)
+			if err != nil {
+				return fmt.Errorf("restore dataset: %w", err)
+			}
+			return nil
+		},
+		// Reports, items, imports, partitions, pair ownership.
+		func() error {
+			_, vals, err := replayValues[*reports.Report](chunks[sectionReports], "report", false)
+			reps = vals
+			return err
+		},
+		func() error {
+			keys, vals, err := replayValues[snapshotItem](chunks[sectionItems], "item", true)
+			items = make(map[string][]snapshotItem)
+			for i, k := range keys {
+				eco, _, _ := splitEcoKey(k)
+				items[eco] = append(items[eco], vals[i])
+			}
+			return err
+		},
+		func() error {
+			keys, vals, err := replayValues[[]string](chunks[sectionImports], "imports", false)
+			imports = make(map[string][]string, len(keys))
+			for i, front := range keys {
+				imports[front] = vals[i]
+			}
+			return err
+		},
+		func() error {
+			keys, vals, err := replayValues[[]textsim.Cluster](chunks[sectionPartitions], "partition", true)
+			partitions = make(map[string]map[string][]textsim.Cluster)
+			for i, k := range keys {
+				eco, inner, _ := splitEcoKey(k)
+				if partitions[eco] == nil {
+					partitions[eco] = make(map[string][]textsim.Cluster)
+				}
+				partitions[eco][inner] = vals[i]
+			}
+			return err
+		},
+		func() error {
+			keys, vals, err := replayValues[string](chunks[sectionPairOwners], "pair owner", false)
+			pairOwners = make(map[string]string, len(keys))
+			for i, pk := range keys {
+				pairOwners[pk] = vals[i]
+			}
+			return err
+		},
+	)
 	if err != nil {
 		return nil, err
-	}
-	entKeys := make([]string, 0, len(entState))
-	for k := range entState {
-		entKeys = append(entKeys, k)
-	}
-	sort.Strings(entKeys)
-	decoded := make([]collect.DecodedEntry, 0, len(entKeys))
-	var wantArts []string
-	for _, k := range entKeys {
-		de, err := collect.DecodeEntry(entState[k])
-		if err != nil {
-			return nil, fmt.Errorf("restore entry %s: %w", k, err)
-		}
-		if de.BlobRef != "" && de.Entry.Artifact == nil {
-			wantArts = append(wantArts, de.BlobRef)
-		}
-		decoded = append(decoded, de)
-	}
-	artData, err := st.Fetch(wantArts)
-	if err != nil {
-		return nil, fmt.Errorf("restore: fetch artifacts: %w", err)
-	}
-	for i := range decoded {
-		ref := decoded[i].BlobRef
-		if ref == "" || decoded[i].Entry.Artifact != nil {
-			continue
-		}
-		var art ecosys.Artifact
-		if err := json.Unmarshal(artData[ref], &art); err != nil {
-			return nil, fmt.Errorf("restore artifact %s: %w", ref, err)
-		}
-		decoded[i].Entry.Artifact = &art
-	}
-	ds, err := collect.AssembleResult(man.Header, decoded)
-	if err != nil {
-		return nil, fmt.Errorf("restore dataset: %w", err)
-	}
-
-	// Reports, items, imports, partitions, pair ownership.
-	repState, err := replayKV(sectionReports)
-	if err != nil {
-		return nil, err
-	}
-	reps := make([]*reports.Report, 0, len(repState))
-	for _, raw := range repState {
-		var rep reports.Report
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			return nil, fmt.Errorf("restore report: %w", err)
-		}
-		reps = append(reps, &rep)
-	}
-	sort.Slice(reps, func(i, j int) bool { return reps[i].URL < reps[j].URL })
-
-	itState, err := replayKV(sectionItems)
-	if err != nil {
-		return nil, err
-	}
-	items := make(map[string][]snapshotItem)
-	for _, k := range sortedRawKeys(itState) {
-		eco, _, ok := splitEcoKey(k)
-		if !ok {
-			return nil, fmt.Errorf("restore: malformed item key %q", k)
-		}
-		var it snapshotItem
-		if err := json.Unmarshal(itState[k], &it); err != nil {
-			return nil, fmt.Errorf("restore item %s: %w", k, err)
-		}
-		items[eco] = append(items[eco], it)
-	}
-
-	impState, err := replayKV(sectionImports)
-	if err != nil {
-		return nil, err
-	}
-	imports := make(map[string][]string, len(impState))
-	for front, raw := range impState {
-		var deps []string
-		if err := json.Unmarshal(raw, &deps); err != nil {
-			return nil, fmt.Errorf("restore imports %s: %w", front, err)
-		}
-		imports[front] = deps
-	}
-
-	partState, err := replayKV(sectionPartitions)
-	if err != nil {
-		return nil, err
-	}
-	partitions := make(map[string]map[string][]textsim.Cluster)
-	for _, k := range sortedRawKeys(partState) {
-		eco, inner, ok := splitEcoKey(k)
-		if !ok {
-			return nil, fmt.Errorf("restore: malformed partition key %q", k)
-		}
-		var cs []textsim.Cluster
-		if err := json.Unmarshal(partState[k], &cs); err != nil {
-			return nil, fmt.Errorf("restore partition %s: %w", k, err)
-		}
-		if partitions[eco] == nil {
-			partitions[eco] = make(map[string][]textsim.Cluster)
-		}
-		partitions[eco][inner] = cs
-	}
-
-	poState, err := replayKV(sectionPairOwners)
-	if err != nil {
-		return nil, err
-	}
-	pairOwners := make(map[string]string, len(poState))
-	for pk, raw := range poState {
-		var url string
-		if err := json.Unmarshal(raw, &url); err != nil {
-			return nil, fmt.Errorf("restore pair owner %s: %w", pk, err)
-		}
-		pairOwners[pk] = url
 	}
 
 	e, err := restoreFromParts(ds, g, &engineSnapshot{
@@ -663,7 +646,13 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	for _, name := range sectionNames {
 		lg := e.logs[name]
 		lg.refs = append([]string(nil), man.Sections[name]...)
-		lg.logged = logged[name]
+		lg.logged = graphLogged
+		if name != sectionGraph {
+			lg.logged = 0
+			for _, dc := range chunks[name] {
+				lg.logged += len(dc.kv.Set) + len(dc.kv.Del)
+			}
+		}
 		lg.rebase = false
 	}
 	for _, de := range decoded {
@@ -675,12 +664,111 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	return e, nil
 }
 
+// replayKV replays a keyed section's decoded chunk chain in manifest
+// order, stopping at the first chunk that failed to decode.
+func replayKV(chunks []decodedChunk) (map[string]json.RawMessage, error) {
+	state := make(map[string]json.RawMessage)
+	for _, dc := range chunks {
+		if dc.err != nil {
+			return nil, dc.err
+		}
+		for k, v := range dc.kv.Set {
+			state[k] = v
+		}
+		for _, k := range dc.kv.Del {
+			delete(state, k)
+		}
+	}
+	return state, nil
+}
+
+// replayValues replays a keyed section's chunk chain and decodes every
+// value, concurrently, in sorted key order. Keys of ecoKeyed sections must
+// be ecosystem-qualified.
+func replayValues[T any](chunks []decodedChunk, what string, ecoKeyed bool) ([]string, []T, error) {
+	state, err := replayKV(chunks)
+	if err != nil {
+		return nil, nil, err
+	}
+	keys := sortedRawKeys(state)
+	vals := make([]T, len(keys))
+	if err := parallel.ForEachErr(len(keys), func(i int) error {
+		if _, _, ok := splitEcoKey(keys[i]); ecoKeyed && !ok {
+			return fmt.Errorf("restore: malformed %s key %q", what, keys[i])
+		}
+		if err := json.Unmarshal(state[keys[i]], &vals[i]); err != nil {
+			return fmt.Errorf("restore %s %s: %w", what, keys[i], err)
+		}
+		return nil
+	}); err != nil {
+		return nil, nil, err
+	}
+	return keys, vals, nil
+}
+
+// decodedChunk is one manifest chunk decoded ahead of its section's serial
+// replay: a keyed delta, or a graph step whose re-base (if any) is already
+// rebuilt into a graph. err is the error a sequential replay would have
+// stopped at on this chunk.
+type decodedChunk struct {
+	kv    kvChunk
+	graph graphChunk
+	reset *graph.Graph
+	err   error
+}
+
+// decodeChunks decodes every chunk the manifest references, concurrently,
+// into per-section slices in manifest order. Larger chunks are started
+// first so that a big graph re-base overlaps the many small deltas instead
+// of trailing them.
+func decodeChunks(man *manifestSnapshot, data map[string]json.RawMessage) map[string][]decodedChunk {
+	type job struct {
+		section string
+		i       int
+	}
+	out := make(map[string][]decodedChunk, len(sectionNames))
+	var jobs []job
+	for _, name := range sectionNames {
+		out[name] = make([]decodedChunk, len(man.Sections[name]))
+		for i := range man.Sections[name] {
+			jobs = append(jobs, job{name, i})
+		}
+	}
+	size := func(j job) int { return len(data[man.Sections[j.section][j.i]]) }
+	sort.SliceStable(jobs, func(a, b int) bool { return size(jobs[a]) > size(jobs[b]) })
+	parallel.ForEach(len(jobs), func(k int) {
+		j := jobs[k]
+		ref := man.Sections[j.section][j.i]
+		dc := &out[j.section][j.i]
+		if j.section != sectionGraph {
+			if err := json.Unmarshal(data[ref], &dc.kv); err != nil {
+				dc.err = fmt.Errorf("restore %s chunk %s: %w", j.section, ref, err)
+			}
+			return
+		}
+		if err := json.Unmarshal(data[ref], &dc.graph); err != nil {
+			dc.err = fmt.Errorf("restore graph chunk %s: %w", ref, err)
+			return
+		}
+		if len(dc.graph.Reset) > 0 {
+			g, err := graph.ReadJSON(bytes.NewReader(dc.graph.Reset))
+			if err != nil {
+				dc.err = fmt.Errorf("restore graph reset %s: %w", ref, err)
+				return
+			}
+			dc.reset = g
+			dc.graph.Reset = nil
+		}
+	})
+	return out
+}
+
 // CollectManifestRefs returns every blob a serialized snapshot references:
 // the manifest's section chunks plus the artifact blobs its dataset chunks
 // point at. Compaction unions this over every retained snapshot so archived
 // manifests stay restorable. Monolithic (pre-v5) snapshots reference
 // nothing. st resolves the dataset chunks (their entry records carry the
-// artifact refs).
+// artifact refs), which decode concurrently.
 func CollectManifestRefs(r io.Reader, st *castore.Store) (map[string]bool, error) {
 	buf, err := io.ReadAll(r)
 	if err != nil {
@@ -699,23 +787,33 @@ func CollectManifestRefs(r io.Reader, st *castore.Store) (map[string]bool, error
 			live[ref] = true
 		}
 	}
-	dsData, err := st.Fetch(man.Sections[sectionDataset])
+	dsRefs := man.Sections[sectionDataset]
+	dsData, err := st.Fetch(dsRefs)
 	if err != nil {
 		return nil, fmt.Errorf("manifest refs: fetch dataset chunks: %w", err)
 	}
-	for _, ref := range man.Sections[sectionDataset] {
+	blobRefs := make([][]string, len(dsRefs))
+	if err := parallel.ForEachErr(len(dsRefs), func(i int) error {
 		var ch kvChunk
-		if err := json.Unmarshal(dsData[ref], &ch); err != nil {
-			return nil, fmt.Errorf("manifest refs: dataset chunk %s: %w", ref, err)
+		if err := json.Unmarshal(dsData[dsRefs[i]], &ch); err != nil {
+			return fmt.Errorf("manifest refs: dataset chunk %s: %w", dsRefs[i], err)
 		}
-		for k, raw := range ch.Set {
-			de, err := collect.DecodeEntry(raw)
+		for _, k := range sortedRawKeys(ch.Set) {
+			de, err := collect.DecodeEntry(ch.Set[k])
 			if err != nil {
-				return nil, fmt.Errorf("manifest refs: entry %s: %w", k, err)
+				return fmt.Errorf("manifest refs: entry %s: %w", k, err)
 			}
 			if de.BlobRef != "" {
-				live[de.BlobRef] = true
+				blobRefs[i] = append(blobRefs[i], de.BlobRef)
 			}
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	for _, refs := range blobRefs {
+		for _, ref := range refs {
+			live[ref] = true
 		}
 	}
 	return live, nil

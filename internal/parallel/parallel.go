@@ -94,14 +94,22 @@ func NumChunks(n, chunk int) int {
 	return (n + chunk - 1) / chunk
 }
 
-// Do runs every task concurrently and returns the first error in argument
-// order (not completion order), keeping error reporting deterministic.
-func Do(tasks ...func() error) error {
-	errs := Map(len(tasks), func(i int) error { return tasks[i]() })
+// ForEachErr runs fn(i) for every i in [0, n) like ForEach and returns the
+// error of the lowest failing index — the one a sequential loop would have
+// stopped at — so error reporting does not depend on scheduling. Every
+// iteration runs, even after one fails.
+func ForEachErr(n int, fn func(i int) error) error {
+	errs := Map(n, fn)
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Do runs every task concurrently and returns the first error in argument
+// order (not completion order), keeping error reporting deterministic.
+func Do(tasks ...func() error) error {
+	return ForEachErr(len(tasks), func(i int) error { return tasks[i]() })
 }

@@ -147,6 +147,33 @@ func TestDoAllTasksRunDespiteError(t *testing.T) {
 	}
 }
 
+// TestForEachErrLowestIndexWins: whatever order iterations finish in, the
+// error returned is the lowest failing index's — the one a sequential loop
+// stops at — and every iteration still runs.
+func TestForEachErrLowestIndexWins(t *testing.T) {
+	for _, procs := range []int{1, 8} {
+		withProcs(t, procs, func() {
+			var ran atomic.Int32
+			err := ForEachErr(100, func(i int) error {
+				ran.Add(1)
+				if i%7 == 3 {
+					return fmt.Errorf("fail %d", i)
+				}
+				return nil
+			})
+			if err == nil || err.Error() != "fail 3" {
+				t.Fatalf("GOMAXPROCS=%d: err = %v, want fail 3", procs, err)
+			}
+			if ran.Load() != 100 {
+				t.Fatalf("GOMAXPROCS=%d: ran %d iterations, want 100", procs, ran.Load())
+			}
+		})
+	}
+	if err := ForEachErr(0, func(int) error { return errors.New("never") }); err != nil {
+		t.Fatalf("empty ForEachErr = %v", err)
+	}
+}
+
 func TestDoNoTasks(t *testing.T) {
 	if err := Do(); err != nil {
 		t.Fatalf("empty Do = %v", err)
