@@ -440,38 +440,27 @@ func (p *Pipeline) Node(id string) (graph.Node, map[string][]string, bool) {
 	return p.CurrentEpoch().Node(id)
 }
 
-// SnapshotEngine checkpoints the engine (graph, dataset, caches) to w. The
-// snapshot is stamped with the last journaled ingest sequence the engine
-// reflects, so WAL recovery replays only the suffix the checkpoint does not
-// already contain.
+// SnapshotEngine exports the engine (graph, dataset, caches) to w as a
+// self-contained bundle (core.Engine.Export). It is pure: a store-attached
+// pipeline's checkpoint chains, graph journal and dirty tracking are left
+// exactly as they were. The bundle is stamped with the last journaled
+// ingest sequence the engine reflects, so WAL recovery replays only the
+// suffix it does not already contain.
 func (p *Pipeline) SnapshotEngine(w io.Writer) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.snapshotEngineLocked(w)
+	p.Engine.Stamp(p.lastSeq, p.fed)
+	return p.Engine.Export(w)
 }
 
-func (p *Pipeline) snapshotEngineLocked(w io.Writer) error {
-	p.Engine.SetAppliedSeq(p.lastSeq)
-	p.Engine.SetFeedPos(p.fed)
-	return p.Engine.Snapshot(w)
-}
-
-// RestoreEngine swaps in an engine checkpoint (core.RestoreEngine) — the
-// warm-restart path: embeddings, cluster state and scan caches come back
-// with the graph, so serving resumes without an O(corpus) rebuild. The feed
-// cursor restores from the snapshot's stamp (pre-v4 snapshots carry none and
-// restart it at zero; re-draining already-ingested batches is an idempotent
-// no-op), and journal replay advances it further from any feed records past
-// the checkpoint.
+// RestoreEngine swaps in an engine restored from a SnapshotEngine bundle
+// (core.Restore without a store) — the warm-restart path: embeddings,
+// cluster state and scan caches come back with the graph, so serving
+// resumes without an O(corpus) rebuild. The feed cursor restores from the
+// bundle's stamp, and journal replay advances it further from any feed
+// records past it. A v5 manifest needs its store: RestoreEngineWithStore.
 func (p *Pipeline) RestoreEngine(r io.Reader) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	eng, err := core.RestoreEngine(r)
-	if err != nil {
-		return fmt.Errorf("malgraph: restore: %w", err)
-	}
-	p.adoptEngineLocked(eng)
-	return nil
+	return p.RestoreEngineWithStore(r, nil)
 }
 
 // adoptEngineLocked swaps the restored engine in and republishes: views,

@@ -72,9 +72,9 @@ func run(args []string) error {
 	full := fs.Bool("full", false, "embed artifacts in the dataset export (dataset only)")
 	maxPages := fs.Int("maxpages", 0, "crawl page budget (0 = library default)")
 	batches := fs.Int("batches", 10, "ingest batches the feed is partitioned into (serve/push)")
-	snapshot := fs.String("snapshot", "", "engine snapshot file for warm restarts (serve only)")
-	storeDir := fs.String("store", "", "content-addressed chunk store directory: checkpoints become a small manifest at -snapshot plus delta segments here, so checkpoint cost tracks the ingest delta (serve only; requires -snapshot)")
-	snapshotRetain := fs.Int("snapshot-retain", 2, "how many snapshots to keep: the live one plus N-1 archives, pruned after each checkpoint (serve only; needs -store)")
+	snapshot := fs.String("snapshot", "", "checkpoint manifest file for warm restarts; its chunks live in -store (serve only)")
+	storeDir := fs.String("store", "", "content-addressed chunk store directory: checkpoints are a small manifest at -snapshot plus delta segments here, so checkpoint cost tracks the ingest delta (serve only; requires -snapshot; default <snapshot>.store)")
+	snapshotRetain := fs.Int("snapshot-retain", 2, "how many snapshots to keep: the live one plus N-1 archives, pruned after each checkpoint (serve only; needs -snapshot)")
 	walDir := fs.String("wal", "", "write-ahead journal directory: accepted ingests are journaled before apply and replayed on restart (serve only)")
 	checkpointBytes := fs.Int64("checkpoint-bytes", 4<<20, "auto-checkpoint once this many journal bytes accumulate (serve only; needs -wal and -snapshot; 0 disables)")
 	from := fs.Int("from", 1, "first batch to push, 1-based — resume an interrupted push from its last acknowledged batch (push only)")
@@ -237,24 +237,26 @@ type serveFlags struct {
 // into ingest batches, with ingest/query/results over HTTP (see serve.go),
 // the external observations/reports inlet, plus the simulated PyPI registry
 // endpoints. With -snapshot, existing engine state warm-restarts the server
-// and POST /api/v1/snapshot checkpoints it again. With -wal, every accepted
-// ingest is journaled (fsync'd) before the engine applies it, the journal
-// suffix past the snapshot replays on startup, and -checkpoint-bytes bounds
-// how much journal accumulates before an automatic checkpoint+truncate —
-// recovery is always last snapshot + WAL suffix. With -store (PR 10), the
-// snapshot file becomes a small manifest over content-addressed delta
-// segments in the store directory: checkpoints write O(ingest delta)
-// instead of re-serialising the corpus, the last -snapshot-retain
-// manifests are kept (pruned after each checkpoint), a background sweep
-// compacts the store once it accretes enough segments, and GET
-// /api/v1/snapshot streams manifest + segments with per-segment CRCs. With -remote-root /
-// -remote-mirror, artifact recovery for externally POSTed observations goes
-// through a registry.RemoteFleet against those live base URLs instead of
-// the in-process fleet. With -pprof, net/http/pprof is exposed on a side
-// listener (never on the main API address) so lock contention and
-// allocation profiles stay observable in production.
+// and POST /api/v1/snapshot checkpoints it again. The snapshot file is a
+// small v5 manifest over content-addressed delta segments in the store
+// directory (-store, by default <snapshot>.store next to the manifest):
+// checkpoints write O(ingest delta) instead of re-serialising the corpus,
+// the last -snapshot-retain manifests are kept (pruned after each
+// checkpoint), and a background sweep compacts the store once it accretes
+// enough segments. GET /api/v1/snapshot exports the current state as a
+// self-contained bundle — pure, it never checkpoints — with or without
+// -snapshot. With -wal, every accepted ingest is journaled (fsync'd) before
+// the engine applies it, the journal suffix past the snapshot replays on
+// startup, and -checkpoint-bytes bounds how much journal accumulates before
+// an automatic checkpoint+truncate — recovery is always last snapshot + WAL
+// suffix. With -remote-root / -remote-mirror, artifact recovery for
+// externally POSTed observations goes through a registry.RemoteFleet
+// against those live base URLs instead of the in-process fleet. With
+// -pprof, net/http/pprof is exposed on a side listener (never on the main
+// API address) so lock contention and allocation profiles stay observable
+// in production.
 //
-// Overload and lifecycle (PR 9): mutating requests pass a bounded admission
+// Overload and lifecycle: mutating requests pass a bounded admission
 // gate (-max-inflight / -admission-wait; saturation answers 429 with a
 // computed Retry-After), bodies are capped (-max-body-bytes), and an
 // optional heap watermark (-mem-watermark-bytes) sheds writes under memory
@@ -283,41 +285,29 @@ func cmdServe(cfg malgraph.Config, sf serveFlags) error {
 		p.SetExternalView(rf)
 		fmt.Printf("external-observation recovery via remote fleet: %v\n", rf.Endpoints())
 	}
-	var store *castore.Store
-	if sf.storeDir != "" {
-		if sf.snapshotPath == "" {
-			return fmt.Errorf("serve -store requires -snapshot (the store holds chunks; the snapshot file is the manifest that references them)")
-		}
-		store, err = castore.Open(sf.storeDir, nil)
-		if err != nil {
-			return fmt.Errorf("serve -store: %w", err)
-		}
-		fmt.Printf("chunk store at %s: %d blob(s) in %d segment(s)\n",
-			sf.storeDir, store.Len(), store.SegmentCount())
+	if sf.snapshotPath == "" && sf.storeDir != "" {
+		return fmt.Errorf("serve -store requires -snapshot (the store holds chunks; the snapshot file is the manifest that references them)")
 	}
 	if sf.snapshotPath != "" {
-		f, err := os.Open(sf.snapshotPath)
-		switch {
-		case err == nil:
-			var restoreErr error
-			if store != nil {
-				restoreErr = p.RestoreEngineWithStore(f, store)
-			} else {
-				restoreErr = p.RestoreEngine(f)
-			}
-			f.Close()
-			if restoreErr != nil {
-				return fmt.Errorf("warm restart from %s: %w", sf.snapshotPath, restoreErr)
-			}
+		storeDir := sf.storeDir
+		if storeDir == "" {
+			storeDir = defaultStoreDir(sf.snapshotPath)
+		}
+		store, err := castore.Open(storeDir, nil)
+		if err != nil {
+			return fmt.Errorf("serve store %s: %w", storeDir, err)
+		}
+		fmt.Printf("chunk store at %s: %d blob(s) in %d segment(s)\n",
+			storeDir, store.Len(), store.SegmentCount())
+		restored, err := warmStart(p, sf.snapshotPath, store)
+		if err != nil {
+			return fmt.Errorf("warm restart from %s: %w", sf.snapshotPath, err)
+		}
+		if restored {
 			fmt.Printf("warm restart: %d packages, %d edges from %s (seq %d)\n",
 				len(p.Dataset.Entries), p.Graph.G.EdgeCount(), sf.snapshotPath, p.LastSeq())
-		case os.IsNotExist(err):
-			if store != nil {
-				p.AttachStore(store)
-			}
+		} else {
 			fmt.Printf("cold start: no snapshot at %s yet\n", sf.snapshotPath)
-		default:
-			return fmt.Errorf("warm restart from %s: %w", sf.snapshotPath, err)
 		}
 	}
 	var journal *wal.Log
@@ -337,7 +327,6 @@ func cmdServe(cfg malgraph.Config, sf serveFlags) error {
 	srv := newServer(p, sf.snapshotPath)
 	srv.wal = journal
 	srv.checkpointBytes = sf.checkpointBytes
-	srv.store = store
 	if sf.snapshotRetain > 0 {
 		srv.snapshotRetain = sf.snapshotRetain
 	}

@@ -20,6 +20,7 @@ import (
 
 	"malgraph"
 	"malgraph/internal/collect"
+	"malgraph/internal/faultinject"
 )
 
 // TestPushExternalMatchesFeedAndOneShot delivers the same world three ways:
@@ -164,18 +165,14 @@ func TestReportsEndpoint(t *testing.T) {
 	}
 }
 
-// TestSnapshotGetFailureReturnsErrorStatus verifies the buffered snapshot
-// path: a mid-stream snapshot failure must yield a clean 500 JSON error,
-// never a 200 with a truncated snapshot body.
+// TestSnapshotGetFailureReturnsErrorStatus verifies the buffered export
+// path: a failure while producing the bundle must yield a clean 500 JSON
+// error, never a 200 with a truncated body.
 func TestSnapshotGetFailureReturnsErrorStatus(t *testing.T) {
-	s, ts := newTestServer(t, 1, "")
+	_, ts := newTestServer(t, 1, "")
 	boom := errors.New("snapshot backend failed")
-	s.snapshot = func(w io.Writer) error {
-		// Write a partial snapshot before failing — the pre-fix handler
-		// would have streamed these bytes under a 200 status.
-		_, _ = io.WriteString(w, `{"version":1,"dataset":`)
-		return boom
-	}
+	faultinject.SetHook("serve.snapshot.preExport", func() { panic(boom) })
+	t.Cleanup(func() { faultinject.SetHook("serve.snapshot.preExport", nil) })
 	resp, err := http.Get(ts.URL + "/api/v1/snapshot")
 	if err != nil {
 		t.Fatal(err)
@@ -192,8 +189,8 @@ func TestSnapshotGetFailureReturnsErrorStatus(t *testing.T) {
 		t.Fatalf("error body = %v", out)
 	}
 
-	// Healthy path: the complete snapshot restores cleanly.
-	s.snapshot = s.p.SnapshotEngine
+	// Healthy path: the complete bundle restores cleanly.
+	faultinject.SetHook("serve.snapshot.preExport", nil)
 	resp2, err := http.Get(ts.URL + "/api/v1/snapshot")
 	if err != nil {
 		t.Fatal(err)

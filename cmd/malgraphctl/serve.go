@@ -7,16 +7,17 @@ package main
 // (incrementally recomputed) Results — alongside the simulated PyPI registry
 // and mirror endpoints the earlier serve mode exposed. A snapshot file gives
 // warm restarts: engine state (graph + embeddings + scan caches) reloads
-// without an O(corpus) rebuild.
+// without an O(corpus) rebuild. The snapshot file is a v5 manifest over a
+// content store (-store, by default <snapshot>.store): checkpoints append
+// the ingest delta to the store and publish a new manifest, and GET
+// /api/v1/snapshot exports a self-contained bundle without checkpointing.
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"net/http"
@@ -46,11 +47,6 @@ import (
 type server struct {
 	p            *malgraph.Pipeline
 	snapshotPath string
-	// snapshot produces an engine checkpoint for GET /api/v1/snapshot;
-	// indirected so tests can exercise the mid-stream failure path.
-	// Checkpoints to disk go through Pipeline.Checkpoint instead, which
-	// holds the ingest lock across snapshot + journal truncation.
-	snapshot func(io.Writer) error
 	// wal is the attached write-ahead journal (nil without -wal). With a
 	// snapshot path configured, the server auto-checkpoints once
 	// checkpointBytes have been journaled since the last checkpoint, then
@@ -59,12 +55,11 @@ type server struct {
 	checkpointBytes int64
 	checkpointMu    sync.Mutex
 
-	// store is the content-addressed chunk store behind segmented (v5)
-	// checkpoints (nil without -store). With it set, the snapshot file is a
-	// small manifest, checkpoints write only the ingest delta, GET
-	// /api/v1/snapshot streams manifest + segments, and checkpoints retain
-	// the last snapshotRetain manifests (the archives keep their chunks
-	// alive through compaction until retention prunes them).
+	// store is the content-addressed chunk store behind checkpoints: the
+	// pipeline's attached store, present exactly when a snapshot path is
+	// configured. Checkpoints write only the ingest delta into it and
+	// retain the last snapshotRetain manifests (the archives keep their
+	// chunks alive through compaction until retention prunes them).
 	store          *castore.Store
 	snapshotRetain int
 	// compactWG tracks the background compaction worker so shutdown can
@@ -98,13 +93,12 @@ type server struct {
 	draining atomic.Bool
 }
 
+// newServer serves p, checkpointing into the store p has attached (if
+// any). The default admission gate and body cap mirror production serve
+// defaults so every test runs with the armor on.
 func newServer(p *malgraph.Pipeline, snapshotPath string) *server {
-	// GET /api/v1/snapshot serves through the epoch cache: the first GET
-	// per epoch snapshots the engine, later GETs reuse the bytes lock-free.
-	// The default admission gate and body cap mirror production serve
-	// defaults so every test runs with the armor on.
 	return &server{
-		p: p, snapshotPath: snapshotPath, snapshot: p.SnapshotCached,
+		p: p, snapshotPath: snapshotPath, store: p.Store(),
 		adm:            admission.New(admission.Config{MaxInflight: 64, MaxWait: time.Second}),
 		maxBodyBytes:   32 << 20,
 		snapshotRetain: 2,
@@ -242,6 +236,26 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 	}
 	defer d.Close()
 	return d.Sync()
+}
+
+// defaultStoreDir is where serve keeps the content store behind -snapshot
+// when -store is not given: next to the manifest.
+func defaultStoreDir(snapshotPath string) string { return snapshotPath + ".store" }
+
+// warmStart restores p from the manifest published at snapshotPath,
+// resolving it against store, or — when none is published yet — attaches
+// the empty store for a cold start. It reports whether it restored.
+func warmStart(p *malgraph.Pipeline, snapshotPath string, store *castore.Store) (bool, error) {
+	f, err := os.Open(snapshotPath)
+	if os.IsNotExist(err) {
+		p.AttachStore(store)
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	defer f.Close()
+	return true, p.RestoreEngineWithStore(f, store)
 }
 
 // checkpoint writes the snapshot durably and truncates the journal, both
@@ -829,31 +843,23 @@ func (s *server) handleNode(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleSnapshot checkpoints the engine: GET serves the snapshot; POST
-// writes it to the configured -snapshot path for the next warm restart.
+// handleSnapshot serves the engine's persistence: GET exports a
+// self-contained bundle of the current state (Pipeline.SnapshotEngine —
+// pure, it checkpoints nothing); POST checkpoints to the configured
+// -snapshot path for the next warm restart.
 func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		if s.store != nil {
-			// Segmented mode: stream the last checkpointed manifest plus
-			// the store's segment files. GET must never run the engine's
-			// segmented Snapshot itself — that path mutates (commits chunk
-			// logs, drops the graph journal) and belongs to Checkpoint.
-			s.handleSnapshotBundle(w)
-			return
-		}
-		// Buffer before writing: streaming SnapshotEngine straight into
-		// the response would commit a 200 status on the first byte, and a
-		// mid-stream error would then append a JSON error object to a
-		// half-written snapshot — which RestoreEngine fails on with a
-		// confusing decode error far from the cause. Buffering gives the
-		// client either a complete snapshot or a proper error status.
+		faultinject.Fire("serve.snapshot.preExport")
+		// Buffer before writing: the client gets either a complete bundle
+		// with its Content-Length or a proper error status, never a 200
+		// with a torn body.
 		var buf bytes.Buffer
-		if err := s.snapshot(&buf); err != nil {
+		if err := s.p.SnapshotEngine(&buf); err != nil {
 			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 		w.WriteHeader(http.StatusOK)
 		_, _ = buf.WriteTo(w)
@@ -876,153 +882,4 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET or POST required"))
 	}
-}
-
-// The snapshot bundle is the segmented-mode GET /api/v1/snapshot wire
-// format: a JSON header line naming the format, the manifest size and the
-// segment count; the raw manifest bytes; then, per segment, a JSON frame
-// line ({name, size}), the segment's raw bytes streamed straight from
-// disk, and a JSON trailer line carrying the CRC-32 (IEEE) of those bytes.
-// Everything is line-framed (the manifest and every segment file are
-// single JSON lines themselves) and nothing is buffered whole: memory
-// stays O(1) in store size on both ends.
-const bundleFormat = "malgraph-snapshot-bundle/1"
-
-type bundleHeader struct {
-	Format       string `json:"format"`
-	ManifestSize int    `json:"manifestSize"`
-	Segments     int    `json:"segments"`
-}
-
-type bundleFrame struct {
-	Name string `json:"name"`
-	Size int64  `json:"size"`
-}
-
-type bundleTrailer struct {
-	CRC32 string `json:"crc32"`
-}
-
-// handleSnapshotBundle streams the current segmented checkpoint. The
-// manifest comes from the snapshot file the last checkpoint published (the
-// first GET before any checkpoint runs one); manifest read and segment
-// opens happen under checkpointMu so a concurrent compaction cannot drop a
-// chunk the manifest references — once the segment files are open, a later
-// unlink does not revoke them. A failure after the header has been written
-// aborts the connection; the client detects it through the framing and the
-// per-segment CRCs.
-func (s *server) handleSnapshotBundle(w http.ResponseWriter) {
-	s.checkpointMu.Lock()
-	if _, err := os.Stat(s.snapshotPath); os.IsNotExist(err) {
-		if _, err := s.checkpoint(); err != nil {
-			s.checkpointMu.Unlock()
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-	}
-	manifest, err := os.ReadFile(s.snapshotPath)
-	if err == nil && (len(manifest) == 0 || manifest[len(manifest)-1] != '\n') {
-		err = fmt.Errorf("snapshot %s is not a line-framed manifest", s.snapshotPath)
-	}
-	if err != nil {
-		s.checkpointMu.Unlock()
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	files, metas, err := s.store.OpenSegments()
-	s.checkpointMu.Unlock()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(bundleHeader{Format: bundleFormat, ManifestSize: len(manifest), Segments: len(files)}); err != nil {
-		return
-	}
-	if _, err := w.Write(manifest); err != nil {
-		return
-	}
-	for i, f := range files {
-		info, err := f.Stat()
-		if err != nil {
-			panic(http.ErrAbortHandler) // headers sent; cut the connection
-		}
-		if err := enc.Encode(bundleFrame{Name: metas[i].Name, Size: info.Size()}); err != nil {
-			return
-		}
-		crc := crc32.NewIEEE()
-		if _, err := io.Copy(io.MultiWriter(w, crc), f); err != nil {
-			return
-		}
-		if err := enc.Encode(bundleTrailer{CRC32: fmt.Sprintf("%08x", crc.Sum32())}); err != nil {
-			return
-		}
-	}
-}
-
-// readSnapshotBundle consumes a snapshot bundle stream, verifying every
-// segment's size and CRC, writes the segment files into dir (created if
-// needed — a directory castore.Open accepts as-is) and returns the
-// manifest bytes to hand to RestoreEngineWithStore.
-func readSnapshotBundle(r io.Reader, dir string) ([]byte, error) {
-	br := bufio.NewReader(r)
-	readLine := func(v any) error {
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			return err
-		}
-		return json.Unmarshal(line, v)
-	}
-	var hdr bundleHeader
-	if err := readLine(&hdr); err != nil {
-		return nil, fmt.Errorf("bundle header: %w", err)
-	}
-	if hdr.Format != bundleFormat {
-		return nil, fmt.Errorf("bundle format %q, want %q", hdr.Format, bundleFormat)
-	}
-	manifest := make([]byte, hdr.ManifestSize)
-	if _, err := io.ReadFull(br, manifest); err != nil {
-		return nil, fmt.Errorf("bundle manifest: %w", err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	for i := 0; i < hdr.Segments; i++ {
-		var fr bundleFrame
-		if err := readLine(&fr); err != nil {
-			return nil, fmt.Errorf("bundle frame %d: %w", i, err)
-		}
-		if fr.Name != filepath.Base(fr.Name) || !strings.HasPrefix(fr.Name, "seg-") {
-			return nil, fmt.Errorf("bundle frame %d: suspicious segment name %q", i, fr.Name)
-		}
-		crc := crc32.NewIEEE()
-		f, err := os.Create(filepath.Join(dir, fr.Name))
-		if err != nil {
-			return nil, err
-		}
-		n, err := io.Copy(io.MultiWriter(f, crc), io.LimitReader(br, fr.Size))
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("bundle segment %s: %w", fr.Name, err)
-		}
-		if n != fr.Size {
-			return nil, fmt.Errorf("bundle segment %s: truncated at %d of %d bytes", fr.Name, n, fr.Size)
-		}
-		var tr bundleTrailer
-		if err := readLine(&tr); err != nil {
-			return nil, fmt.Errorf("bundle segment %s trailer: %w", fr.Name, err)
-		}
-		if got := fmt.Sprintf("%08x", crc.Sum32()); got != tr.CRC32 {
-			return nil, fmt.Errorf("bundle segment %s: crc %s, want %s", fr.Name, got, tr.CRC32)
-		}
-	}
-	return manifest, nil
 }

@@ -1,11 +1,11 @@
 package main
 
-// Serve-level segmented checkpoints (ISSUE 10): the -store recovery
-// sequence — restore manifest against the content store, replay the journal
-// suffix, attach — must carry state across restarts exactly like the
-// monolithic path; the snapshot bundle GET must round-trip into a fresh
-// store; retention must keep the configured number of manifests; and a kill
-// mid-segment-write or mid-compaction must never lose a checkpoint.
+// Serve-level checkpoints: the recovery sequence — restore manifest
+// against the content store, replay the journal suffix, attach — must carry
+// state across restarts; the GET /api/v1/snapshot bundle must round-trip
+// into a fresh pipeline without checkpointing anything; retention must keep
+// the configured number of manifests; and a kill mid-segment-write or
+// mid-compaction must never lose a checkpoint.
 
 import (
 	"bytes"
@@ -25,25 +25,17 @@ import (
 	"malgraph/internal/wal"
 )
 
-// recoverStorePipeline performs cmdServe's segmented startup sequence:
-// open the store, restore the manifest through it if published (or attach
-// cold), replay the journal suffix, attach. Caller closes the journal.
+// recoverStorePipeline performs cmdServe's startup sequence against store:
+// restore the manifest through it if published (or attach it cold), replay
+// the journal suffix, attach. Caller closes the journal.
 func recoverStorePipeline(t *testing.T, batches int, snapshotPath, walDir string, store *castore.Store) (*malgraph.Pipeline, *wal.Log) {
 	t.Helper()
 	p, err := malgraph.NewStreamingPipeline(context.Background(), malgraph.Config{Scale: 0.02}, batches)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f, err := os.Open(snapshotPath); err == nil {
-		restoreErr := p.RestoreEngineWithStore(f, store)
-		f.Close()
-		if restoreErr != nil {
-			t.Fatalf("restore %s: %v", snapshotPath, restoreErr)
-		}
-	} else if os.IsNotExist(err) {
-		p.AttachStore(store)
-	} else {
-		t.Fatal(err)
+	if _, err := warmStart(p, snapshotPath, store); err != nil {
+		t.Fatalf("restore %s: %v", snapshotPath, err)
 	}
 	j, err := wal.Open(walDir, nil)
 	if err != nil {
@@ -232,29 +224,25 @@ func TestServeSnapshotRetention(t *testing.T) {
 	}
 }
 
-// TestServeSnapshotBundleRoundTrip: GET /api/v1/snapshot in store mode
-// streams manifest + segments; readSnapshotBundle reconstructs a store
-// directory a fresh pipeline restores from, matching the server's state.
+// TestServeSnapshotBundleRoundTrip: GET /api/v1/snapshot exports the
+// current state — including an ingest no checkpoint has covered — as a
+// bundle that core.Restore (via RestoreEngine) reads back into a fresh
+// pipeline matching the server's state; the restored pipeline re-exports
+// the same bytes; and a truncated bundle fails loudly.
 func TestServeSnapshotBundleRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline build")
 	}
 	dir := t.TempDir()
 	snapshotPath := filepath.Join(dir, "state.json")
-	store, err := castore.Open(filepath.Join(dir, "store"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s, ts := newTestServer(t, 4, snapshotPath)
-	s.p.AttachStore(store)
-	s.store = store
-	// Two checkpointed ingests so the bundle carries a multi-segment store;
-	// the GET runs with no explicit checkpoint after the last ingest — it
-	// must serve the last published manifest, not a fresh mutation.
+	// Two checkpointed ingests build a multi-segment store; the third
+	// ingest is covered by no checkpoint — the GET must export it anyway.
 	postJSON(t, ts.URL+"/api/v1/ingest", http.StatusOK)
 	postJSON(t, ts.URL+"/api/v1/snapshot", http.StatusOK)
 	postJSON(t, ts.URL+"/api/v1/ingest", http.StatusOK)
 	postJSON(t, ts.URL+"/api/v1/snapshot", http.StatusOK)
+	postJSON(t, ts.URL+"/api/v1/ingest", http.StatusOK)
 	wantStats := s.p.Stats()
 
 	resp, err := http.Get(ts.URL + "/api/v1/snapshot")
@@ -268,41 +256,74 @@ func TestServeSnapshotBundleRoundTrip(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
 		t.Fatalf("bundle Content-Type = %q", ct)
 	}
-	cloneDir := filepath.Join(t.TempDir(), "store-clone")
-	manifest, err := readSnapshotBundle(resp.Body, cloneDir)
-	if err != nil {
-		t.Fatalf("read bundle: %v", err)
-	}
-	cloneStore, err := castore.Open(cloneDir, nil)
+	bundle, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cloneStore.Len() != store.Len() {
-		t.Fatalf("cloned store has %d blobs, server store %d", cloneStore.Len(), store.Len())
 	}
 	p, err := malgraph.NewStreamingPipeline(context.Background(), malgraph.Config{Scale: 0.02}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RestoreEngineWithStore(bytes.NewReader(manifest), cloneStore); err != nil {
+	if err := p.RestoreEngine(bytes.NewReader(bundle)); err != nil {
 		t.Fatalf("restore from bundle: %v", err)
 	}
 	if got := p.Stats(); !reflect.DeepEqual(got, wantStats) {
 		t.Fatalf("bundle-restored stats %+v\nwant %+v", got, wantStats)
 	}
+	var again bytes.Buffer
+	if err := p.SnapshotEngine(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), bundle) {
+		t.Fatal("the bundle-restored pipeline re-exports different bytes")
+	}
 
-	// A truncated bundle must fail loudly, not produce a silent short store.
-	resp2, err := http.Get(ts.URL + "/api/v1/snapshot")
+	// A truncated bundle must fail loudly, not produce a silent short engine.
+	if err := p.RestoreEngine(bytes.NewReader(bundle[:len(bundle)-10])); err == nil {
+		t.Fatal("truncated bundle restored without error")
+	}
+}
+
+// TestServeSnapshotGetIsPure: a GET /api/v1/snapshot before any checkpoint
+// publishes no snapshot file, writes nothing into the store and leaves the
+// journal untouched — exporting is not checkpointing.
+func TestServeSnapshotGetIsPure(t *testing.T) {
+	dir := t.TempDir()
+	snapshotPath := filepath.Join(dir, "state.json")
+	s, ts := newTestServer(t, 2, snapshotPath)
+	j, err := wal.Open(filepath.Join(dir, "wal"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp2.Body.Close()
-	whole, err := io.ReadAll(resp2.Body)
+	defer j.Close()
+	s.p.AttachJournal(j)
+	s.wal = j
+	postJSON(t, ts.URL+"/api/v1/ingest", http.StatusOK)
+	journalSize := j.Size()
+	journalOps := s.p.Graph.G.JournalLen()
+	if journalSize == 0 || journalOps == 0 {
+		t.Fatalf("ingest journaled %d bytes and %d graph ops, want both", journalSize, journalOps)
+	}
+
+	resp, err := http.Get(ts.URL + "/api/v1/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readSnapshotBundle(bytes.NewReader(whole[:len(whole)-10]), filepath.Join(t.TempDir(), "torn")); err == nil {
-		t.Fatal("truncated bundle decoded without error")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET snapshot: status %d", resp.StatusCode)
+	}
+	if _, err := os.Stat(snapshotPath); !os.IsNotExist(err) {
+		t.Fatalf("GET published a snapshot file: %v", err)
+	}
+	if n := s.store.Len(); n != 0 {
+		t.Fatalf("GET wrote %d blobs into the store", n)
+	}
+	if sz := j.Size(); sz != journalSize {
+		t.Fatalf("GET changed the journal: %d bytes, want %d", sz, journalSize)
+	}
+	if ops := s.p.Graph.G.JournalLen(); ops != journalOps {
+		t.Fatalf("GET changed the graph journal: %d ops, want %d", ops, journalOps)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"malgraph"
+	"malgraph/internal/castore"
 )
 
 func newTestServer(t *testing.T, batches int, snapshotPath string) (*server, *httptest.Server) {
@@ -18,6 +19,14 @@ func newTestServer(t *testing.T, batches int, snapshotPath string) (*server, *ht
 	p, err := malgraph.NewStreamingPipeline(context.Background(), malgraph.Config{Scale: 0.02}, batches)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if snapshotPath != "" {
+		// As cmdServe does: a snapshot path brings the default store.
+		store, err := castore.Open(defaultStoreDir(snapshotPath), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.AttachStore(store)
 	}
 	s := newServer(p, snapshotPath)
 	ts := httptest.NewServer(s.handler())
@@ -175,14 +184,13 @@ func TestServeSnapshotWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(snapPath)
+	store, err := castore.Open(defaultStoreDir(snapPath), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p2.RestoreEngine(f); err != nil {
-		t.Fatal(err)
+	if restored, err := warmStart(p2, snapPath, store); err != nil || !restored {
+		t.Fatalf("warm start: restored=%v err=%v", restored, err)
 	}
-	f.Close()
 	if p2.Graph.G.NodeCount() != wantNodes || p2.Graph.G.EdgeCount() != wantEdges {
 		t.Fatalf("restored graph %d/%d nodes/edges, want %d/%d",
 			p2.Graph.G.NodeCount(), p2.Graph.G.EdgeCount(), wantNodes, wantEdges)

@@ -1,6 +1,6 @@
 package main
 
-// Serve-level durability (ISSUE 6): the -wal recovery sequence cmdServe
+// Serve-level durability: the -wal recovery sequence cmdServe
 // wires up — restore snapshot, replay the journal suffix, attach — must
 // carry a server's ingested state across a crash, auto-checkpoints must
 // fold journal bytes into the snapshot and truncate, and the ingest
@@ -17,37 +17,21 @@ import (
 	"testing"
 
 	"malgraph"
+	"malgraph/internal/castore"
 	"malgraph/internal/faultinject"
 	"malgraph/internal/wal"
 )
 
-// recoverPipeline performs cmdServe's startup sequence: snapshot restore if
-// the file exists, journal replay, attach. Returns the pipeline and its
-// journal (caller closes).
+// recoverPipeline performs cmdServe's startup sequence with the default
+// store next to the snapshot: restore the manifest if published, journal
+// replay, attach. Returns the pipeline and its journal (caller closes).
 func recoverPipeline(t *testing.T, batches int, snapshotPath, walDir string) (*malgraph.Pipeline, *wal.Log) {
 	t.Helper()
-	p, err := malgraph.NewStreamingPipeline(context.Background(), malgraph.Config{Scale: 0.02}, batches)
+	store, err := castore.Open(defaultStoreDir(snapshotPath), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f, err := os.Open(snapshotPath); err == nil {
-		restoreErr := p.RestoreEngine(f)
-		f.Close()
-		if restoreErr != nil {
-			t.Fatalf("restore %s: %v", snapshotPath, restoreErr)
-		}
-	} else if !os.IsNotExist(err) {
-		t.Fatal(err)
-	}
-	j, err := wal.Open(walDir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.ReplayJournal(j); err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	p.AttachJournal(j)
-	return p, j
+	return recoverStorePipeline(t, batches, snapshotPath, walDir, store)
 }
 
 func TestServeWALRecoveryAcrossRestarts(t *testing.T) {

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"testing"
 
+	"malgraph/internal/castore"
 	"malgraph/internal/collect"
 	"malgraph/internal/reports"
 	"malgraph/internal/wal"
@@ -328,6 +329,11 @@ func TestCheckpointConcurrentWithIngestLosesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	p1.AttachJournal(j1)
+	store1, err := castore.Open(filepath.Join(dir, "store"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1.AttachStore(store1)
 
 	obs := decoupledObservations(t, collect.ObservationsFromSources(p1.World.Sources))
 	_, reportCorpus := p1.Source()
@@ -403,8 +409,12 @@ func TestCheckpointConcurrentWithIngestLosesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	store2, err := castore.Open(filepath.Join(dir, "store"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if snap, err := os.ReadFile(snapPath); err == nil {
-		if err := p2.RestoreEngine(bytes.NewReader(snap)); err != nil {
+		if err := p2.RestoreEngineWithStore(bytes.NewReader(snap), store2); err != nil {
 			t.Fatalf("restore checkpoint: %v", err)
 		}
 	} else if !os.IsNotExist(err) {

@@ -17,14 +17,15 @@ package malgraph
 //	            restart, so only the position is journaled.
 //
 // Sequence gating makes replay exactly-once on top of at-least-once
-// delivery: a snapshot carries the last applied sequence (engine
-// AppliedSeq, snapshot v4), and records at or below it are skipped. This
+// delivery: a checkpoint carries the last applied sequence (engine
+// AppliedSeq), and records at or below it are skipped. This
 // also makes journal truncation after a checkpoint safe without any
 // atomicity between the two files — a stale record that survives a lost
 // truncate replays as a no-op.
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -94,18 +95,25 @@ func (p *Pipeline) journalLocked(kind string, v any) (uint64, error) {
 	return seq, nil
 }
 
-// Checkpoint couples "snapshot the engine" with "truncate the journal"
+// Checkpoint couples "checkpoint the engine" with "truncate the journal"
 // under the pipeline lock: no concurrent ingest can journal a record
-// between the snapshot's AppliedSeq stamp and the truncation, so the
-// truncate never destroys an acknowledged record the snapshot does not
-// contain. persist receives the engine snapshot writer and is responsible
-// for making the bytes durable (serve wraps it in an fsync'd atomic file
-// replace); the journal is truncated only after persist returns success.
-// Returns the sequence the snapshot was stamped with.
+// between the manifest's AppliedSeq stamp and the truncation, so the
+// truncate never destroys an acknowledged record the checkpoint does not
+// contain. persist receives the engine's checkpoint writer
+// (core.Engine.Checkpoint: delta chunks into the store, manifest to the
+// writer) and is responsible for making the manifest durable (serve wraps
+// it in an fsync'd atomic file replace); the journal is truncated only
+// after persist returns success. Checkpoint needs an attached store
+// (AttachStore) and fails before calling persist without one. Returns the
+// sequence the checkpoint was stamped with.
 func (p *Pipeline) Checkpoint(persist func(snapshot func(io.Writer) error) error) (uint64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := persist(p.snapshotEngineLocked); err != nil {
+	if p.Engine.Store() == nil {
+		return p.lastSeq, errors.New("malgraph: checkpoint needs an attached content store (AttachStore)")
+	}
+	p.Engine.Stamp(p.lastSeq, p.fed)
+	if err := persist(p.Engine.Checkpoint); err != nil {
 		return p.lastSeq, err
 	}
 	if p.journal != nil {

@@ -263,7 +263,7 @@ func BenchmarkIncremental_FullRebuild(b *testing.B) {
 // BenchmarkIncremental_Append measures ingesting a 1% timeline delta into an
 // engine warm with the other 99% — the steady-state cost of the streaming
 // architecture. Engine state is reset between iterations via
-// Snapshot/Restore (outside the timer), so every measured Ingest performs
+// Export/Restore (outside the timer), so every measured Ingest performs
 // identical work.
 func BenchmarkIncremental_Append(b *testing.B) {
 	ds, reportCorpus := incrementalBenchWorld(b)
@@ -279,14 +279,14 @@ func BenchmarkIncremental_Append(b *testing.B) {
 		}
 	}
 	var snap bytes.Buffer
-	if err := base.Snapshot(&snap); err != nil {
+	if err := base.Export(&snap); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(len(delta.Entries)), "delta_entries")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		eng, err := core.RestoreEngine(bytes.NewReader(snap.Bytes()))
+		eng, err := core.Restore(bytes.NewReader(snap.Bytes()), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -331,7 +331,7 @@ func BenchmarkIncremental_JournaledAppend(b *testing.B) {
 		}
 	}
 	var snap bytes.Buffer
-	if err := base.Snapshot(&snap); err != nil {
+	if err := base.Export(&snap); err != nil {
 		b.Fatal(err)
 	}
 	j, err := wal.Open(b.TempDir(), nil)
@@ -344,7 +344,7 @@ func BenchmarkIncremental_JournaledAppend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		eng, err := core.RestoreEngine(bytes.NewReader(snap.Bytes()))
+		eng, err := core.Restore(bytes.NewReader(snap.Bytes()), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -440,7 +440,7 @@ func growthSetup(b *testing.B, prefix int) *growthState {
 		b.Fatal(err)
 	}
 	var snap bytes.Buffer
-	if err := eng.Snapshot(&snap); err != nil {
+	if err := eng.Export(&snap); err != nil {
 		b.Fatal(err)
 	}
 	last := growthFeed[len(growthFeed)-1]
@@ -483,7 +483,7 @@ func BenchmarkIncremental_AppendGrowth(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				eng, err := core.RestoreEngine(bytes.NewReader(st.snap))
+				eng, err := core.Restore(bytes.NewReader(st.snap), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -556,7 +556,7 @@ func reportGrowthSetup(b *testing.B, tenths int) *growthState {
 		b.Fatal(err)
 	}
 	var snap bytes.Buffer
-	if err := eng.Snapshot(&snap); err != nil {
+	if err := eng.Export(&snap); err != nil {
 		b.Fatal(err)
 	}
 	delta := growthDS.BatchOf(deltaEntries)
@@ -580,7 +580,7 @@ func BenchmarkIncremental_ReportAppendGrowth(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				eng, err := core.RestoreEngine(bytes.NewReader(st.snap))
+				eng, err := core.Restore(bytes.NewReader(st.snap), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -674,11 +674,11 @@ func BenchmarkIncremental_CheckpointGrowth(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				eng, err := core.RestoreEngineWithStore(bytes.NewReader(st.snap), store)
+				eng, err := core.Restore(bytes.NewReader(st.snap), store)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := eng.Snapshot(io.Discard); err != nil { // priming full re-base
+				if err := eng.Checkpoint(io.Discard); err != nil { // priming full re-base
 					b.Fatal(err)
 				}
 				if _, err := eng.Ingest(st.delta); err != nil {
@@ -686,7 +686,7 @@ func BenchmarkIncremental_CheckpointGrowth(b *testing.B) {
 				}
 				runtime.GC()
 				b.StartTimer()
-				if err := eng.Snapshot(io.Discard); err != nil {
+				if err := eng.Checkpoint(io.Discard); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -612,49 +612,6 @@ func (st *Store) readLocated(want []located) ([][]byte, error) {
 	return data, err
 }
 
-// SegmentFile names one live segment for streaming: its file name within
-// the store directory.
-type SegmentFile struct {
-	Name string
-}
-
-// OpenSegments opens every live segment for reading and returns the open
-// files alongside their names. The files stay readable
-// even if a concurrent compaction unlinks them (POSIX semantics), so a
-// streaming reader gets a consistent snapshot of the store without
-// blocking writers. The caller closes the files.
-func (st *Store) OpenSegments() ([]*os.File, []SegmentFile, error) {
-	st.mu.Lock()
-	ids := append([]int(nil), st.segs...)
-	st.mu.Unlock()
-
-	var files []*os.File
-	var metas []SegmentFile
-	for _, id := range ids {
-		name := fmt.Sprintf(segPattern, id)
-		f, err := os.Open(filepath.Join(st.dir, name))
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				// Compacted away between snapshot of ids and open; its blobs
-				// live on in the merged segment, which a fresh OpenSegments
-				// would return.
-				continue
-			}
-			closeAll(files)
-			return nil, nil, fmt.Errorf("castore: %w", err)
-		}
-		files = append(files, f)
-		metas = append(metas, SegmentFile{Name: name})
-	}
-	return files, metas, nil
-}
-
-func closeAll(files []*os.File) {
-	for _, f := range files {
-		f.Close()
-	}
-}
-
 // Compact merges every live segment into one new segment carrying only
 // the blobs in live, then unlinks the old segments. Only the retained
 // blobs' byte ranges are read, each verified against its key before it is

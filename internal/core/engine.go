@@ -178,7 +178,7 @@ type ecoShard struct {
 	// cluster list exactly as a one-shot build derives it.
 	clustersByPart map[string][]textsim.Cluster
 
-	// Segmented-checkpoint dirty state, populated only while the engine has
+	// Checkpoint dirty state, populated only while the engine has
 	// a content store attached (Engine.track non-nil). Each shard is owned
 	// by one goroutine during the parallel plan phase, so these need no
 	// locking beyond the engine mutex the commit phase already holds.
@@ -250,17 +250,17 @@ type Engine struct {
 	// coexOwner records, per co-existing edge (pair key, endpoints sorted),
 	// the URL of the report that owns its attrs: the URL-smallest report
 	// covering the pair, i.e. the first writer of a one-shot build's
-	// URL-ordered join. All three are persisted in snapshots (v3), so a
+	// URL-ordered join. All three are persisted in checkpoints, so a
 	// restored engine's first wanted-package ingest is scoped too.
 	reportByURL map[string]*reports.Report // guarded by mu
 	posting     map[string][]string        // guarded by mu
 	coexOwner   map[string]string          // guarded by mu
 
 	// appliedSeq is the durable ingest sequence stamp: the WAL sequence of
-	// the last journaled batch applied to this engine. Snapshots carry it
-	// (v4) so recovery replays only the journal suffix the checkpoint does
+	// the last journaled batch applied to this engine. Checkpoints carry it
+	// so recovery replays only the journal suffix the checkpoint does
 	// not already contain. The engine itself never bumps it — the pipeline
-	// that owns the journal does, via SetAppliedSeq before Snapshot.
+	// that owns the journal does, via Stamp before Checkpoint or Export.
 	// guarded by mu.
 	appliedSeq uint64
 	// feedPos is the companion stamp for the simulated feed: how many feed
@@ -270,10 +270,10 @@ type Engine struct {
 	// re-report every batch as pending. guarded by mu.
 	feedPos int
 
-	// Segmented persistence (snapshot v5). When a content store is attached,
-	// Snapshot writes a small manifest plus delta chunks into the store —
+	// Checkpoint persistence (snapshot v5). With a content store attached,
+	// Checkpoint writes a small manifest plus delta chunks into the store —
 	// O(changes since the last checkpoint) — instead of re-serialising the
-	// corpus; without one, Snapshot keeps emitting the monolithic v4 stream.
+	// corpus; without one, the engine persists only through Export.
 	store *castore.Store // guarded by mu
 	// track records the dirty keys of every delta-logged section since the
 	// last checkpoint; non-nil exactly when store is. guarded by mu.
@@ -288,12 +288,13 @@ type Engine struct {
 	artifactRefs map[string]artifactRef
 }
 
-// SetAppliedSeq records the durable ingest sequence the engine's state now
-// reflects; Snapshot persists it.
-func (e *Engine) SetAppliedSeq(seq uint64) {
+// Stamp records the durable ingest sequence and the feed cursor the
+// engine's state now reflects; the next Checkpoint or Export persists both.
+func (e *Engine) Stamp(seq uint64, feedPos int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.appliedSeq = seq
+	e.feedPos = feedPos
 }
 
 // AppliedSeq returns the durable ingest sequence restored from the last
@@ -303,14 +304,6 @@ func (e *Engine) AppliedSeq() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.appliedSeq
-}
-
-// SetFeedPos records the feed cursor (batches ingested) alongside the
-// sequence stamp; Snapshot persists it.
-func (e *Engine) SetFeedPos(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.feedPos = n
 }
 
 // FeedPos returns the feed cursor restored from the last snapshot (0 for a
@@ -514,8 +507,15 @@ func (e *Engine) applyNodes(changes []entryChange, st *IngestStats) error {
 				return err
 			}
 		} else {
-			for k, v := range attrs {
-				if err := e.mg.G.SetAttr(id, k, v); err != nil {
+			// Sorted keys: a store-attached graph journals every SetAttr,
+			// and checkpoint chunk bytes must not depend on map order.
+			keys := make([]string, 0, len(attrs))
+			for k := range attrs {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				if err := e.mg.G.SetAttr(id, k, attrs[k]); err != nil {
 					return err
 				}
 			}

@@ -220,10 +220,10 @@ func TestEngineSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snap bytes.Buffer
-	if err := eng.Snapshot(&snap); err != nil {
+	if err := eng.Export(&snap); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreEngine(bytes.NewReader(snap.Bytes()))
+	restored, err := Restore(bytes.NewReader(snap.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,10 +321,10 @@ func TestEngineRestoreReclustersSamePartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snap bytes.Buffer
-	if err := live.Snapshot(&snap); err != nil {
+	if err := live.Export(&snap); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreEngine(bytes.NewReader(snap.Bytes()))
+	restored, err := Restore(bytes.NewReader(snap.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,7 +645,7 @@ func TestCoexistingFullRebuildFallback(t *testing.T) {
 }
 
 // TestEngineRestoreRejoinsSameScope is the ISSUE 5 restore-parity contract:
-// after RestoreEngine, ingesting a wanted package must re-join the same
+// after Restore, ingesting a wanted package must re-join the same
 // scope — same ReportsRejoined, same edge delta, same repairs — as the
 // engine that never snapshotted, with no O(reports) first ingest.
 func TestEngineRestoreRejoinsSameScope(t *testing.T) {
@@ -657,10 +657,10 @@ func TestEngineRestoreRejoinsSameScope(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snap bytes.Buffer
-	if err := live.Snapshot(&snap); err != nil {
+	if err := live.Export(&snap); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreEngine(bytes.NewReader(snap.Bytes()))
+	restored, err := Restore(bytes.NewReader(snap.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

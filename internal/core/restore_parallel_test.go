@@ -40,7 +40,7 @@ func checkpointChain(t *testing.T) ([]byte, *castore.Store, *Engine) {
 			t.Fatal(err)
 		}
 		manifest.Reset()
-		if err := eng.Snapshot(&manifest); err != nil {
+		if err := eng.Checkpoint(&manifest); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,7 +50,7 @@ func checkpointChain(t *testing.T) ([]byte, *castore.Store, *Engine) {
 // restoreAt restores manifest from store with GOMAXPROCS set to procs.
 func restoreAt(procs int, manifest []byte, store *castore.Store) (*Engine, error) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	return RestoreEngineWithStore(bytes.NewReader(manifest), store)
+	return Restore(bytes.NewReader(manifest), store)
 }
 
 func graphJSON(t *testing.T, e *Engine) []byte {
@@ -83,10 +83,10 @@ func TestRestoreIdenticalAcrossWorkerCounts(t *testing.T) {
 		// The restored chain logs carry on identically: the next
 		// checkpoint of each writes the same manifest.
 		var a, b bytes.Buffer
-		if err := seq.Snapshot(&a); err != nil {
+		if err := seq.Checkpoint(&a); err != nil {
 			t.Fatal(err)
 		}
-		if err := par.Snapshot(&b); err != nil {
+		if err := par.Checkpoint(&b); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {

@@ -1,25 +1,38 @@
 package core
 
-// Snapshot v5: segmented delta checkpoints. A store-attached engine splits
-// persistence into a small manifest (written to the caller's stream exactly
-// like a monolithic snapshot, so the atomic-rename and WAL-truncation
-// contracts upstream are untouched) and content-addressed chunks in a
-// castore.Store. Each persisted section — dataset entries, graph, clustering
-// items, import caches, partition caches, reports, pair ownership — is a
-// log of chunks: a chunk either re-bases the section (full re-encode) or
-// applies a delta of key sets/deletes recorded by the engine's dirty
-// tracking. The manifest holds only the ordered chunk references plus the
-// genuinely small inline state (config, posting lists, sequence stamps), so
-// checkpoint cost is O(changes since the last checkpoint), not O(corpus).
+// Persistence: one format, one mutating writer, one restore. Every persisted
+// section — dataset entries, graph, clustering items, import caches,
+// partition caches, reports, pair ownership — is a log of content-addressed
+// chunks: a chunk either re-bases the section (full re-encode) or applies a
+// delta of key sets/deletes recorded by the engine's dirty tracking. The v5
+// manifest holds only the ordered chunk references plus the genuinely small
+// inline state (config, posting lists, sequence stamps).
 //
-// Durability ordering: the chunk segment is appended — and fsynced — before
-// a single manifest byte is written, so a manifest that gets published by
-// the caller's rename can always resolve its references; a crash in between
-// leaves only unreferenced blobs, which compaction collects.
+// Three entry points share the one section encoder (encodeLocked):
+//
+//   - Engine.Checkpoint needs an attached castore.Store. It appends the
+//     delta chunks to the store, writes the manifest to the caller's stream
+//     (so the atomic-rename and WAL-truncation contracts upstream are
+//     untouched) and commits: the section logs advance, the graph journal
+//     prefix drops and the dirty tracking resets. Cost is O(changes since
+//     the last checkpoint), not O(corpus). It is the only call that mutates
+//     persistence state.
+//   - Engine.Export is pure: a full re-encode of every section, written as
+//     a self-contained bundle (bundle.go) that needs no store to restore.
+//   - Restore reads either a bundle or a v5 manifest resolved against its
+//     store. Monolithic v3/v4 snapshots are no longer read.
+//
+// Durability ordering: Checkpoint appends — and fsyncs — the chunk segment
+// before a single manifest byte is written, so a manifest that gets
+// published by the caller's rename can always resolve its references; a
+// crash in between leaves only unreferenced blobs, which compaction
+// collects.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -48,6 +61,15 @@ type manifestSnapshot struct {
 	AppliedSeq uint64               `json:"appliedSeq,omitempty"`
 	FeedPos    int                  `json:"feedPos,omitempty"`
 	Sections   map[string][]string  `json:"sections"`
+}
+
+// snapshotItem carries a cached clustering item. SimHash fingerprints are
+// full 64-bit values, so Hash travels as hex — JSON numbers lose integer
+// precision past 2^53.
+type snapshotItem struct {
+	ID     string    `json:"id"`
+	Vector []float64 `json:"vector"`
+	Hash   string    `json:"hash"`
 }
 
 // kvChunk is one delta of a keyed section: Set writes (or overwrites) keys,
@@ -80,9 +102,9 @@ func splitEcoKey(key string) (eco, inner string, ok bool) {
 }
 
 // pendingChunk is one chunk built but not yet durable; the in-memory
-// section logs are only updated after the whole segment fsyncs and the
-// manifest encodes, so a failed checkpoint leaves the dirty state intact
-// for the next attempt.
+// section logs are only updated by commitLocked, after the whole segment
+// fsyncs and the manifest is written, so a failed checkpoint leaves the
+// dirty state intact for the next attempt.
 type pendingChunk struct {
 	section string
 	key     string // "" for an empty re-base (clears the section's refs)
@@ -90,37 +112,96 @@ type pendingChunk struct {
 	rebase  bool
 }
 
-// snapshotSegmentedLocked writes a v5 checkpoint: delta chunks and new
-// artifact blobs into the store, the manifest to w. Caller holds e.mu.
-func (e *Engine) snapshotSegmentedLocked(w io.Writer) error {
-	var blobs []castore.Blob
-	var chunks []pendingChunk
-	newArtRefs := make(map[string]artifactRef)
+// encoding is one encoded persistence state: the manifest line, the blobs
+// it needs beyond what the store already holds, and the bookkeeping a
+// successful Checkpoint commits.
+type encoding struct {
+	manifest    []byte // newline-terminated manifest JSON
+	blobs       []castore.Blob
+	chunks      []pendingChunk
+	artRefs     map[string]artifactRef // artifact blobs encoded afresh
+	journalDrop int                    // graph journal ops the chunks cover
+}
 
+// errNoStore is Checkpoint's refusal on a storeless engine.
+var errNoStore = errors.New("core: checkpoint needs an attached content store (AttachStore)")
+
+// Checkpoint writes a v5 checkpoint: delta chunks and new artifact blobs
+// into the attached store, the manifest to w; then commits. It fails
+// without touching any state when no store is attached.
+func (e *Engine) Checkpoint(w io.Writer) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.store == nil {
+		return errNoStore
+	}
+	enc, err := e.encodeLocked(false)
+	if err != nil {
+		return err
+	}
+	// Make the chunks and blobs durable before a single manifest byte:
+	// Append fsyncs the segment (and the directory) before returning.
+	if _, err := e.store.Append(enc.blobs); err != nil {
+		return fmt.Errorf("checkpoint: append segment: %w", err)
+	}
+	if _, err := w.Write(enc.manifest); err != nil {
+		return fmt.Errorf("checkpoint: manifest: %w", err)
+	}
+	e.commitLocked(enc)
+	return nil
+}
+
+// Export writes the engine's full state as a self-contained bundle. It is
+// pure: every section is re-encoded in full under the lock, before any byte
+// is written, and no log, journal, tracker or store is touched — so the
+// bytes depend only on the engine's state, not on whether or how it
+// checkpoints.
+func (e *Engine) Export(w io.Writer) error {
+	e.mu.Lock()
+	enc, err := e.encodeLocked(true)
+	e.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return writeBundle(w, enc.manifest, enc.blobs)
+}
+
+// encodeLocked encodes every section's next chunk. full re-bases every
+// section and carries every artifact blob (Export); otherwise each section
+// follows its log's re-base policy and carries only the tracked delta
+// (Checkpoint, store attached). It reads engine state only. Caller holds
+// e.mu.
+func (e *Engine) encodeLocked(full bool) (*encoding, error) {
+	enc := &encoding{artRefs: make(map[string]artifactRef)}
+	addBlob := func(data []byte) string {
+		key := castore.KeyOf(data)
+		enc.blobs = append(enc.blobs, castore.Blob{Key: key, Data: data})
+		return key
+	}
+	rebaseDue := func(section string, liveKeys int) bool {
+		return full || e.logs[section].rebaseDue(liveKeys)
+	}
 	addKV := func(section string, set map[string]json.RawMessage, del []string, rebase bool) error {
 		if len(set) == 0 && len(del) == 0 {
 			if rebase {
 				// The section re-based to empty: the manifest must drop the
 				// old refs even though there is no chunk to write.
-				chunks = append(chunks, pendingChunk{section: section, rebase: true})
+				enc.chunks = append(enc.chunks, pendingChunk{section: section, rebase: true})
 			}
 			return nil
 		}
-		sort.Strings(del)
 		data, err := json.Marshal(kvChunk{Set: set, Del: del})
 		if err != nil {
 			return fmt.Errorf("snapshot %s chunk: %w", section, err)
 		}
-		key := castore.KeyOf(data)
-		blobs = append(blobs, castore.Blob{Key: key, Data: data})
-		chunks = append(chunks, pendingChunk{section, key, len(set) + len(del), rebase})
+		enc.chunks = append(enc.chunks, pendingChunk{section, addBlob(data), len(set) + len(del), rebase})
 		return nil
 	}
 
 	// Dataset: dirty coordinate keys re-encode their entries; artifacts go
 	// to the store as standalone blobs referenced from the entry records.
 	ds := e.mg.Dataset
-	dsRebase := e.logs[sectionDataset].rebaseDue(len(ds.Entries))
+	dsRebase := rebaseDue(sectionDataset, len(ds.Entries))
 	var dsKeys []string
 	if dsRebase {
 		dsKeys = make([]string, 0, len(ds.Entries))
@@ -134,57 +215,57 @@ func (e *Engine) snapshotSegmentedLocked(w io.Writer) error {
 	for _, key := range dsKeys {
 		en, ok := ds.EntryByKey(key)
 		if !ok {
-			return fmt.Errorf("snapshot: dirty entry %s not in dataset", key)
+			return nil, fmt.Errorf("snapshot: dirty entry %s not in dataset", key)
 		}
 		blobRef := ""
 		if en.Artifact != nil {
-			if ref, ok := e.artifactRefs[key]; ok && ref.art == en.Artifact {
+			if ref, ok := e.artifactRefs[key]; !full && ok && ref.art == en.Artifact {
 				blobRef = ref.key
 			} else {
 				raw, err := json.Marshal(en.Artifact)
 				if err != nil {
-					return fmt.Errorf("snapshot artifact %s: %w", key, err)
+					return nil, fmt.Errorf("snapshot artifact %s: %w", key, err)
 				}
-				blobRef = castore.KeyOf(raw)
-				blobs = append(blobs, castore.Blob{Key: blobRef, Data: raw})
-				newArtRefs[key] = artifactRef{art: en.Artifact, key: blobRef}
+				blobRef = addBlob(raw)
+				enc.artRefs[key] = artifactRef{art: en.Artifact, key: blobRef}
 			}
 		}
 		rec, err := ds.EncodeEntry(en, blobRef)
 		if err != nil {
-			return fmt.Errorf("snapshot entry %s: %w", key, err)
+			return nil, fmt.Errorf("snapshot entry %s: %w", key, err)
 		}
 		dsSet[key] = rec
 	}
 	if err := addKV(sectionDataset, dsSet, nil, dsRebase); err != nil {
-		return err
+		return nil, err
 	}
 
 	// Graph: journaled operations, or a full re-base when the log grew past
-	// the live node+edge count.
-	ops := e.mg.G.JournalOps()
-	journalDrop := len(ops)
+	// the live node+edge count. Either way the chunk covers every journaled
+	// op, so a commit drops them all.
+	var ops []graph.Op
+	if !full {
+		ops = e.mg.G.JournalOps()
+		enc.journalDrop = len(ops)
+	}
 	liveGraph := e.mg.G.NodeCount() + e.mg.G.EdgeCount()
-	if e.logs[sectionGraph].rebaseDue(liveGraph) {
+	var step *graphChunk
+	keys := len(ops)
+	if rebaseDue(sectionGraph, liveGraph) {
 		var buf bytes.Buffer
 		if err := e.mg.G.WriteJSON(&buf); err != nil {
-			return fmt.Errorf("snapshot graph: %w", err)
+			return nil, fmt.Errorf("snapshot graph: %w", err)
 		}
-		data, err := json.Marshal(graphChunk{Reset: buf.Bytes()})
-		if err != nil {
-			return fmt.Errorf("snapshot graph chunk: %w", err)
-		}
-		key := castore.KeyOf(data)
-		blobs = append(blobs, castore.Blob{Key: key, Data: data})
-		chunks = append(chunks, pendingChunk{sectionGraph, key, liveGraph, true})
+		step, keys = &graphChunk{Reset: buf.Bytes()}, liveGraph
 	} else if len(ops) > 0 {
-		data, err := json.Marshal(graphChunk{Ops: ops})
+		step = &graphChunk{Ops: ops}
+	}
+	if step != nil {
+		data, err := json.Marshal(step)
 		if err != nil {
-			return fmt.Errorf("snapshot graph chunk: %w", err)
+			return nil, fmt.Errorf("snapshot graph chunk: %w", err)
 		}
-		key := castore.KeyOf(data)
-		blobs = append(blobs, castore.Blob{Key: key, Data: data})
-		chunks = append(chunks, pendingChunk{sectionGraph, key, len(ops), false})
+		enc.chunks = append(enc.chunks, pendingChunk{sectionGraph, addBlob(data), keys, step.Reset != nil})
 	}
 
 	// Per-shard sections. Shards iterate in sorted-ecosystem order so chunk
@@ -202,18 +283,11 @@ func (e *Engine) snapshotSegmentedLocked(w io.Writer) error {
 		totalParts += len(sh.clustersByPart)
 	}
 
-	encodeItem := func(it textsim.Item) (json.RawMessage, error) {
-		return json.Marshal(snapshotItem{
-			ID:     it.ID,
-			Vector: it.Vector,
-			Hash:   strconv.FormatUint(it.Hash, 16),
-		})
-	}
-	itRebase := e.logs[sectionItems].rebaseDue(totalItems)
+	itRebase := rebaseDue(sectionItems, totalItems)
 	itSet := make(map[string]json.RawMessage)
-	impRebase := e.logs[sectionImports].rebaseDue(totalImports)
+	impRebase := rebaseDue(sectionImports, totalImports)
 	impSet := make(map[string]json.RawMessage)
-	partRebase := e.logs[sectionPartitions].rebaseDue(totalParts)
+	partRebase := rebaseDue(sectionPartitions, totalParts)
 	partSet := make(map[string]json.RawMessage)
 	var partDel []string
 	for _, eco := range ecos {
@@ -224,9 +298,13 @@ func (e *Engine) snapshotSegmentedLocked(w io.Writer) error {
 			items = sh.items
 		}
 		for _, it := range items {
-			raw, err := encodeItem(it)
+			raw, err := json.Marshal(snapshotItem{
+				ID:     it.ID,
+				Vector: it.Vector,
+				Hash:   strconv.FormatUint(it.Hash, 16),
+			})
 			if err != nil {
-				return fmt.Errorf("snapshot item %s: %w", it.ID, err)
+				return nil, fmt.Errorf("snapshot item %s: %w", it.ID, err)
 			}
 			itSet[ecoKey(name, it.ID)] = raw
 		}
@@ -246,7 +324,7 @@ func (e *Engine) snapshotSegmentedLocked(w io.Writer) error {
 		for _, front := range fronts {
 			raw, err := json.Marshal(sh.importsOf[front])
 			if err != nil {
-				return fmt.Errorf("snapshot imports %s: %w", front, err)
+				return nil, fmt.Errorf("snapshot imports %s: %w", front, err)
 			}
 			impSet[front] = raw
 		}
@@ -269,27 +347,24 @@ func (e *Engine) snapshotSegmentedLocked(w io.Writer) error {
 		for _, key := range partKeys {
 			raw, err := json.Marshal(sh.clustersByPart[key])
 			if err != nil {
-				return fmt.Errorf("snapshot partition %s: %w", key, err)
+				return nil, fmt.Errorf("snapshot partition %s: %w", key, err)
 			}
 			partSet[ecoKey(name, key)] = raw
 		}
 	}
 	if err := addKV(sectionItems, itSet, nil, itRebase); err != nil {
-		return err
+		return nil, err
 	}
 	if err := addKV(sectionImports, impSet, nil, impRebase); err != nil {
-		return err
-	}
-	if partRebase {
-		partDel = nil
+		return nil, err
 	}
 	sort.Strings(partDel)
 	if err := addKV(sectionPartitions, partSet, partDel, partRebase); err != nil {
-		return err
+		return nil, err
 	}
 
 	// Reports: add-only by URL (the corpus keeps the first crawl).
-	repRebase := e.logs[sectionReports].rebaseDue(len(e.mg.Reports))
+	repRebase := rebaseDue(sectionReports, len(e.mg.Reports))
 	var repURLs []string
 	if repRebase {
 		repURLs = make([]string, 0, len(e.mg.Reports))
@@ -303,42 +378,46 @@ func (e *Engine) snapshotSegmentedLocked(w io.Writer) error {
 	for _, url := range repURLs {
 		rep := e.reportByURL[url]
 		if rep == nil {
-			return fmt.Errorf("snapshot: dirty report %s not in corpus", url)
+			return nil, fmt.Errorf("snapshot: dirty report %s not in corpus", url)
 		}
 		raw, err := json.Marshal(rep)
 		if err != nil {
-			return fmt.Errorf("snapshot report %s: %w", url, err)
+			return nil, fmt.Errorf("snapshot report %s: %w", url, err)
 		}
 		repSet[url] = raw
 	}
 	if err := addKV(sectionReports, repSet, nil, repRebase); err != nil {
-		return err
+		return nil, err
 	}
 
 	// Pair ownership: per-key sets and deletes, or a full re-base after the
 	// co-existing fallback rebuilt the map wholesale.
-	poRebase := e.track.pairsRebase || e.logs[sectionPairOwners].rebaseDue(len(e.coexOwner))
+	poRebase := rebaseDue(sectionPairOwners, len(e.coexOwner)) || e.track.pairsRebase
 	poSet := make(map[string]json.RawMessage)
 	var poDel []string
+	setOwner := func(pk, url string) error {
+		raw, err := json.Marshal(url)
+		if err != nil {
+			return fmt.Errorf("snapshot pair owner %s: %w", pk, err)
+		}
+		poSet[pk] = raw
+		return nil
+	}
 	if poRebase {
 		for pk, url := range e.coexOwner {
-			raw, err := json.Marshal(url)
-			if err != nil {
-				return fmt.Errorf("snapshot pair owner %s: %w", pk, err)
+			if err := setOwner(pk, url); err != nil {
+				return nil, err
 			}
-			poSet[pk] = raw
 		}
 	} else {
 		for pk := range e.track.pairs {
 			url, ok := e.coexOwner[pk]
 			if !ok {
-				return fmt.Errorf("snapshot: dirty pair %s not in ownership map", pk)
+				return nil, fmt.Errorf("snapshot: dirty pair %s not in ownership map", pk)
 			}
-			raw, err := json.Marshal(url)
-			if err != nil {
-				return fmt.Errorf("snapshot pair owner %s: %w", pk, err)
+			if err := setOwner(pk, url); err != nil {
+				return nil, err
 			}
-			poSet[pk] = raw
 		}
 		for pk := range e.track.delPairs {
 			poDel = append(poDel, pk)
@@ -346,16 +425,11 @@ func (e *Engine) snapshotSegmentedLocked(w io.Writer) error {
 	}
 	sort.Strings(poDel)
 	if err := addKV(sectionPairOwners, poSet, poDel, poRebase); err != nil {
-		return err
+		return nil, err
 	}
 
-	// Make the chunks and blobs durable before a single manifest byte:
-	// Append fsyncs the segment (and the directory) before returning.
-	if _, err := e.store.Append(blobs); err != nil {
-		return fmt.Errorf("snapshot: append segment: %w", err)
-	}
-
-	// Build the prospective section refs without touching the logs yet.
+	// The prospective section refs: the logs' current chains (none for a
+	// full encode) with this encoding's chunks applied.
 	man := manifestSnapshot{
 		Version:    snapshotVersionSegmented,
 		Config:     e.cfg,
@@ -365,10 +439,12 @@ func (e *Engine) snapshotSegmentedLocked(w io.Writer) error {
 		FeedPos:    e.feedPos,
 		Sections:   make(map[string][]string, len(sectionNames)),
 	}
-	for _, name := range sectionNames {
-		man.Sections[name] = e.logs[name].refs
+	if !full {
+		for _, name := range sectionNames {
+			man.Sections[name] = e.logs[name].refs
+		}
 	}
-	for _, pc := range chunks {
+	for _, pc := range enc.chunks {
 		if pc.rebase {
 			if pc.key == "" {
 				man.Sections[pc.section] = []string{}
@@ -380,15 +456,21 @@ func (e *Engine) snapshotSegmentedLocked(w io.Writer) error {
 		cur := man.Sections[pc.section]
 		man.Sections[pc.section] = append(cur[:len(cur):len(cur)], pc.key)
 	}
-	if err := json.NewEncoder(w).Encode(&man); err != nil {
-		return fmt.Errorf("snapshot: manifest: %w", err)
+	data, err := json.Marshal(&man)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: manifest: %w", err)
 	}
+	enc.manifest = append(data, '\n')
+	return enc, nil
+}
 
-	// Commit: the segment is durable and the manifest encoded, so the logs
-	// advance and the dirty state resets. (If the caller's rename fails the
-	// previous manifest stays published; its refs are a subset of ours plus
-	// chunks the next checkpoint will still reference — nothing is lost.)
-	for _, pc := range chunks {
+// commitLocked advances the section logs past a durable checkpoint and
+// resets the dirty state. (If the caller's rename of the manifest fails the
+// previous manifest stays published; its refs are a subset of ours plus
+// chunks the next checkpoint will still reference — nothing is lost.)
+// Caller holds e.mu.
+func (e *Engine) commitLocked(enc *encoding) {
+	for _, pc := range enc.chunks {
 		lg := e.logs[pc.section]
 		if pc.rebase {
 			lg.refs = nil
@@ -402,7 +484,7 @@ func (e *Engine) snapshotSegmentedLocked(w io.Writer) error {
 			lg.logged += pc.keys
 		}
 	}
-	e.mg.G.DropJournalPrefix(journalDrop)
+	e.mg.G.DropJournalPrefix(enc.journalDrop)
 	e.track.reset()
 	for _, sh := range e.shards {
 		sh.newItems = nil
@@ -410,10 +492,9 @@ func (e *Engine) snapshotSegmentedLocked(w io.Writer) error {
 		sh.dirtyParts = nil
 		sh.delParts = nil
 	}
-	for k, ref := range newArtRefs {
+	for k, ref := range enc.artRefs {
 		e.artifactRefs[k] = ref
 	}
-	return nil
 }
 
 // sortedKeySet returns the map's keys sorted.
@@ -438,12 +519,76 @@ func sortedRawKeys(m map[string]json.RawMessage) []string {
 	return out
 }
 
-// RestoreEngineWithStore reconstructs an engine from a snapshot stream
-// backed by a content store. A v5 manifest resolves its chunk references
-// against st; a monolithic v3/v4 stream restores as before and then has the
-// store attached, so the first checkpoint after an upgrade re-bases every
-// section into the store. Either way the returned engine checkpoints
-// segmentedly from then on.
+// fetchFunc resolves content keys to blob bytes: castore.Store.Fetch for a
+// manifest, the stream's blobs for a bundle.
+type fetchFunc func(keys []string) (map[string]json.RawMessage, error)
+
+// Restore reconstructs an engine from either persistence stream:
+//
+//   - an Export bundle, whose blobs come from the stream itself. With st
+//     non-nil the store is attached in re-base mode, so the engine's first
+//     checkpoint writes its full state into st;
+//   - a v5 manifest, whose chunk references resolve against st (which must
+//     be the store the manifest was checkpointed into). The restored engine
+//     keeps appending deltas to the same chunk chains.
+//
+// Anything else — including v3/v4 monolithic snapshots — is an error that
+// names its version. The restored engine continues ingesting exactly where
+// the persisted one stopped: all caches and indexes are rebuilt, so the
+// next batch costs the same as it would have without the restart.
+func Restore(r io.Reader, st *castore.Store) (*Engine, error) {
+	br := bufio.NewReader(r)
+	head, err := br.ReadBytes('\n')
+	if err != nil && (err != io.EOF || len(head) == 0) {
+		return nil, fmt.Errorf("restore read: %w", err)
+	}
+	var probe struct {
+		Format  string `json:"format"`
+		Version int    `json:"version"`
+	}
+	if err := json.Unmarshal(head, &probe); err != nil {
+		return nil, fmt.Errorf("restore decode: %w", err)
+	}
+	switch {
+	case probe.Format != "":
+		man, blobs, err := readBundle(head, br)
+		if err != nil {
+			return nil, fmt.Errorf("restore: %w", err)
+		}
+		return restoreManifest(man, blobs.fetch, st, false)
+	case probe.Version == snapshotVersionSegmented:
+		if st == nil {
+			return nil, fmt.Errorf("restore: snapshot version %d is a segmented manifest; restore it with its content store (RestoreEngineWithStore / -store)",
+				probe.Version)
+		}
+		if err := expectEOF(br); err != nil {
+			return nil, fmt.Errorf("restore manifest: %w", err)
+		}
+		var man manifestSnapshot
+		if err := json.Unmarshal(head, &man); err != nil {
+			return nil, fmt.Errorf("restore manifest decode: %w", err)
+		}
+		return restoreManifest(&man, st.Fetch, st, true)
+	default:
+		return nil, fmt.Errorf("restore: snapshot version %d is not readable: restore takes a version %d manifest with its content store or a %s bundle (monolithic v3/v4 snapshots are no longer read)",
+			probe.Version, snapshotVersionSegmented, bundleFormat)
+	}
+}
+
+// restoredSections is every keyed section a manifest's chunk chains decode
+// to, beside the dataset and graph.
+type restoredSections struct {
+	reports    []*reports.Report
+	items      map[string][]snapshotItem
+	imports    map[string][]string
+	partitions map[string]map[string][]textsim.Cluster
+	pairOwners map[string]string
+}
+
+// restoreManifest rebuilds an engine from a v5 manifest whose blobs fetch
+// resolves. With st non-nil the store is attached afterwards: resuming the
+// manifest's chunk chains when the blobs came from st, in re-base mode
+// otherwise.
 //
 // Decoding fans out across parallel.Workers(): every chunk of every section
 // decodes concurrently (the graph re-base alongside the rest), then each
@@ -452,53 +597,22 @@ func sortedRawKeys(m map[string]json.RawMessage) []string {
 // Every stage keeps the error of the first failure in manifest and key
 // order, so a restore returns the same engine, or the same error, as a
 // sequential one under any GOMAXPROCS.
-func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
-	buf, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("restore read: %w", err)
-	}
-	var probe struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(buf, &probe); err != nil {
-		return nil, fmt.Errorf("restore decode: %w", err)
-	}
-	if probe.Version < snapshotVersionSegmented {
-		e, err := RestoreEngine(bytes.NewReader(buf))
-		if err != nil {
-			return nil, err
-		}
-		e.AttachStore(st)
-		return e, nil
-	}
-	var man manifestSnapshot
-	if err := json.Unmarshal(buf, &man); err != nil {
-		return nil, fmt.Errorf("restore manifest decode: %w", err)
-	}
-	if man.Version != snapshotVersionSegmented {
-		return nil, fmt.Errorf("restore: snapshot version %d, want %d..%d",
-			man.Version, minSnapshotVersion, snapshotVersionSegmented)
-	}
-
+func restoreManifest(man *manifestSnapshot, fetch fetchFunc, st *castore.Store, resume bool) (*Engine, error) {
 	var allRefs []string
 	for _, name := range sectionNames {
 		allRefs = append(allRefs, man.Sections[name]...)
 	}
-	chunkData, err := st.Fetch(allRefs)
+	chunkData, err := fetch(allRefs)
 	if err != nil {
 		return nil, fmt.Errorf("restore: fetch chunks: %w", err)
 	}
-	chunks := decodeChunks(&man, chunkData)
+	chunks := decodeChunks(man, chunkData)
 
 	var (
-		g          *graph.Graph
-		decoded    []collect.DecodedEntry
-		ds         *collect.Result
-		reps       []*reports.Report
-		items      map[string][]snapshotItem
-		imports    map[string][]string
-		partitions map[string]map[string][]textsim.Cluster
-		pairOwners map[string]string
+		g       *graph.Graph
+		decoded []collect.DecodedEntry
+		ds      *collect.Result
+		sec     restoredSections
 		// graphLogged is the graph chain's replayed node, edge and op count.
 		graphLogged int
 	)
@@ -551,7 +665,7 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 					wantArts = append(wantArts, de.BlobRef)
 				}
 			}
-			artData, err := st.Fetch(wantArts)
+			artData, err := fetch(wantArts)
 			if err != nil {
 				return fmt.Errorf("restore: fetch artifacts: %w", err)
 			}
@@ -578,43 +692,43 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 		// Reports, items, imports, partitions, pair ownership.
 		func() error {
 			_, vals, err := replayValues[*reports.Report](chunks[sectionReports], "report", false)
-			reps = vals
+			sec.reports = vals
 			return err
 		},
 		func() error {
 			keys, vals, err := replayValues[snapshotItem](chunks[sectionItems], "item", true)
-			items = make(map[string][]snapshotItem)
+			sec.items = make(map[string][]snapshotItem)
 			for i, k := range keys {
 				eco, _, _ := splitEcoKey(k)
-				items[eco] = append(items[eco], vals[i])
+				sec.items[eco] = append(sec.items[eco], vals[i])
 			}
 			return err
 		},
 		func() error {
 			keys, vals, err := replayValues[[]string](chunks[sectionImports], "imports", false)
-			imports = make(map[string][]string, len(keys))
+			sec.imports = make(map[string][]string, len(keys))
 			for i, front := range keys {
-				imports[front] = vals[i]
+				sec.imports[front] = vals[i]
 			}
 			return err
 		},
 		func() error {
 			keys, vals, err := replayValues[[]textsim.Cluster](chunks[sectionPartitions], "partition", true)
-			partitions = make(map[string]map[string][]textsim.Cluster)
+			sec.partitions = make(map[string]map[string][]textsim.Cluster)
 			for i, k := range keys {
 				eco, inner, _ := splitEcoKey(k)
-				if partitions[eco] == nil {
-					partitions[eco] = make(map[string][]textsim.Cluster)
+				if sec.partitions[eco] == nil {
+					sec.partitions[eco] = make(map[string][]textsim.Cluster)
 				}
-				partitions[eco][inner] = vals[i]
+				sec.partitions[eco][inner] = vals[i]
 			}
 			return err
 		},
 		func() error {
 			keys, vals, err := replayValues[string](chunks[sectionPairOwners], "pair owner", false)
-			pairOwners = make(map[string]string, len(keys))
+			sec.pairOwners = make(map[string]string, len(keys))
 			for i, pk := range keys {
-				pairOwners[pk] = vals[i]
+				sec.pairOwners[pk] = vals[i]
 			}
 			return err
 		},
@@ -623,26 +737,21 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 		return nil, err
 	}
 
-	e, err := restoreFromParts(ds, g, &engineSnapshot{
-		Version:    snapshotVersion,
-		Config:     man.Config,
-		Reports:    reps,
-		Partitions: partitions,
-		Items:      items,
-		Imports:    imports,
-		Posting:    man.Posting,
-		PairOwners: pairOwners,
-		AppliedSeq: man.AppliedSeq,
-		FeedPos:    man.FeedPos,
-	})
+	e, err := restoreFromParts(man, ds, g, &sec)
 	if err != nil {
 		return nil, err
 	}
-
-	// Attach the store with the manifest's logs instead of a blank re-base:
-	// the restored engine keeps appending deltas to the same chunk chains.
+	if st == nil {
+		return e, nil
+	}
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.attachStoreLocked(st)
+	if !resume {
+		return e, nil // every section re-based: the first checkpoint writes it all
+	}
+	// Resume the manifest's logs instead of a blank re-base: the restored
+	// engine keeps appending deltas to the same chunk chains.
 	for _, name := range sectionNames {
 		lg := e.logs[name]
 		lg.refs = append([]string(nil), man.Sections[name]...)
@@ -660,7 +769,128 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 			e.artifactRefs[de.Entry.Coord.Key()] = artifactRef{art: de.Entry.Artifact, key: de.BlobRef}
 		}
 	}
-	e.mu.Unlock()
+	return e, nil
+}
+
+// restoreFromParts rebuilds an engine from a manifest's inline state and
+// its decoded sections: the in-memory indexes, the LSH partition index and
+// the co-existing join index all come back exactly as the persisted engine
+// held them.
+func restoreFromParts(man *manifestSnapshot, ds *collect.Result, g *graph.Graph, sec *restoredSections) (*Engine, error) {
+	e := NewEngine(man.Config)
+	e.appliedSeq = man.AppliedSeq
+	e.feedPos = man.FeedPos
+	e.mg.G = g
+	e.mg.Dataset = ds
+	e.mg.Reports = sec.reports
+	sort.Slice(e.mg.Reports, func(i, j int) bool { return e.mg.Reports[i].URL < e.mg.Reports[j].URL })
+
+	ecoByName := make(map[string]ecosys.Ecosystem, len(ecosys.All()))
+	for _, eco := range ecosys.All() {
+		ecoByName[eco.String()] = eco
+	}
+	for name, items := range sec.items {
+		eco, ok := ecoByName[name]
+		if !ok {
+			return nil, fmt.Errorf("restore: unknown ecosystem %q in items", name)
+		}
+		sh := e.shardLocked(eco)
+		// Headroom keeps the first post-restore inserts from recopying the
+		// whole ID-sorted slice (insertItem shifts in place within capacity).
+		restored := make([]textsim.Item, 0, len(items)+len(items)/8+16)
+		for _, it := range items {
+			hash, err := strconv.ParseUint(it.Hash, 16, 64)
+			if err != nil {
+				return nil, fmt.Errorf("restore: bad fingerprint for %s: %w", it.ID, err)
+			}
+			restored = append(restored, textsim.Item{ID: it.ID, Vector: it.Vector, Hash: hash})
+		}
+		sort.Slice(restored, func(i, j int) bool { return restored[i].ID < restored[j].ID })
+		sh.items = restored
+		// Rebuild the LSH partition index from the cached fingerprints —
+		// partition membership and canonical keys are content-derived, so
+		// this reproduces the persisted engine's index exactly.
+		idx := textsim.NewLSHIndex(e.cfg.Cluster)
+		for _, it := range restored {
+			idx.Add(it.ID, it.Hash, it.Vector)
+		}
+		// Rebuild-time retirements predate the persisted partition cache,
+		// which is already keyed canonically — drain them so the first
+		// post-restore ingest doesn't pay an O(corpus) stale-key sweep the
+		// uninterrupted engine never sees.
+		idx.DrainRetired()
+		sh.lsh = idx
+	}
+	for name, parts := range sec.partitions {
+		eco, ok := ecoByName[name]
+		if !ok {
+			return nil, fmt.Errorf("restore: unknown ecosystem %q in partitions", name)
+		}
+		sh := e.shardLocked(eco)
+		for key := range parts {
+			if sh.lsh == nil || sh.lsh.Members(key) == nil {
+				return nil, fmt.Errorf("restore: %s partition %q is not canonical in the rebuilt LSH index", name, key)
+			}
+		}
+		sh.clustersByPart = parts
+		//malgraph:nondeterm-ok eco is a bijective rename of the range key, so this writes each ecosystem exactly once
+		e.mg.SimilarClusters[eco] = flattenClusters(parts)
+	}
+
+	// Rebuild the in-memory indexes from the merged dataset and caches.
+	for _, en := range ds.Entries {
+		sh := e.shardLocked(en.Coord.Ecosystem)
+		name := en.Coord.Name
+		id := NodeID(en.Coord)
+		sh.byName[name] = append(sh.byName[name], id)
+		sh.corpus[name] = true
+		e.mg.entryByID[id] = en
+	}
+	// The imports section is one flat map; split it back into the
+	// per-ecosystem shards (node IDs resolve their ecosystem via the dataset)
+	// and rebuild each reverse import index in sorted front order so future
+	// edge insertions stay deterministic.
+	fronts := make([]string, 0, len(sec.imports))
+	for front := range sec.imports {
+		fronts = append(fronts, front)
+	}
+	sort.Strings(fronts)
+	for _, front := range fronts {
+		en, ok := e.mg.entryByID[front]
+		if !ok {
+			return nil, fmt.Errorf("restore: import cache references unknown node %s", front)
+		}
+		sh := e.shardLocked(en.Coord.Ecosystem)
+		sh.importsOf[front] = sec.imports[front]
+		for _, dep := range sec.imports[front] {
+			sh.importers[dep] = append(sh.importers[dep], front)
+		}
+	}
+	// Rebuild the per-package report index from the URL-sorted corpus (the
+	// appends preserve global URL order) and restore the join index. The
+	// posting lists and pair ownership come from the manifest verbatim — a
+	// restored engine's next wanted-package ingest re-joins exactly the
+	// scope the uninterrupted engine would, without an O(reports) pass.
+	for _, rep := range e.mg.Reports {
+		e.reportByURL[rep.URL] = rep
+		seen := make(map[string]bool, len(rep.Packages))
+		for _, coord := range rep.Packages {
+			id := NodeID(coord)
+			if seen[id] {
+				continue
+			}
+			seen[id] = true
+			if _, ok := e.mg.G.Node(id); ok {
+				e.mg.ReportsByPackage[id] = append(e.mg.ReportsByPackage[id], rep)
+			}
+		}
+	}
+	if man.Posting != nil {
+		e.posting = man.Posting
+	}
+	if sec.pairOwners != nil {
+		e.coexOwner = sec.pairOwners
+	}
 	return e, nil
 }
 
@@ -763,12 +993,12 @@ func decodeChunks(man *manifestSnapshot, data map[string]json.RawMessage) map[st
 	return out
 }
 
-// CollectManifestRefs returns every blob a serialized snapshot references:
-// the manifest's section chunks plus the artifact blobs its dataset chunks
-// point at. Compaction unions this over every retained snapshot so archived
-// manifests stay restorable. Monolithic (pre-v5) snapshots reference
-// nothing. st resolves the dataset chunks (their entry records carry the
-// artifact refs), which decode concurrently.
+// CollectManifestRefs returns every blob a v5 manifest references: its
+// section chunks plus the artifact blobs its dataset chunks point at.
+// Compaction unions this over every retained manifest so archived manifests
+// stay restorable. st resolves the dataset chunks (their entry records carry
+// the artifact refs), which decode concurrently. Anything but a v5 manifest
+// is an error: a file compaction cannot read could reference anything.
 func CollectManifestRefs(r io.Reader, st *castore.Store) (map[string]bool, error) {
 	buf, err := io.ReadAll(r)
 	if err != nil {
@@ -778,10 +1008,11 @@ func CollectManifestRefs(r io.Reader, st *castore.Store) (map[string]bool, error
 	if err := json.Unmarshal(buf, &man); err != nil {
 		return nil, fmt.Errorf("manifest refs decode: %w", err)
 	}
-	live := make(map[string]bool)
 	if man.Version != snapshotVersionSegmented {
-		return live, nil
+		return nil, fmt.Errorf("manifest refs: snapshot version %d is not a version %d manifest",
+			man.Version, snapshotVersionSegmented)
 	}
+	live := make(map[string]bool)
 	for _, name := range sectionNames {
 		for _, ref := range man.Sections[name] {
 			live[ref] = true

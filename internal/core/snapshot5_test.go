@@ -1,15 +1,17 @@
 package core
 
-// Contracts under test for segmented (v5) checkpoints: a chain of delta
-// checkpoints restores to exactly the state a monolithic snapshot would
-// have captured; a monolithic v3/v4 snapshot restores into a store-backed
-// engine byte-equivalently to the plain path (the upgrade road); version
-// errors are explicit about what the reader needed; and compaction driven
-// by CollectManifestRefs never strands a restorable manifest.
+// Contracts under test for v5 checkpoints: a chain of delta checkpoints
+// restores to exactly the live engine's state; an Export bundle restores
+// into a store-backed engine byte-equivalently to the storeless restore, and
+// that engine's first checkpoint re-bases every section into the store;
+// version errors are explicit about what the reader needed; Checkpoint
+// refuses a storeless engine; and compaction driven by CollectManifestRefs
+// never strands a restorable manifest.
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"reflect"
 	"sort"
@@ -50,8 +52,8 @@ func openTestStore(t *testing.T) *castore.Store {
 }
 
 // assertRestoredMatches compares a freshly-restored engine against the live
-// engine it was checkpointed from. Restore has one cosmetic latitude (shared
-// with the monolithic path): an ecosystem with zero similarity clusters may
+// engine it was checkpointed from. Restore has one cosmetic latitude: an
+// ecosystem with zero similarity clusters may
 // come back as a missing key or an empty slice where the live engine holds
 // nil, so clusters compare empty-normalized; everything else must be exact.
 func assertRestoredMatches(t *testing.T, restored, live *Engine, label string) {
@@ -111,7 +113,7 @@ func TestSegmentedCheckpointChainMatchesBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		manifest.Reset()
-		if err := eng.Snapshot(&manifest); err != nil {
+		if err := eng.Checkpoint(&manifest); err != nil {
 			t.Fatal(err)
 		}
 		lo = hi
@@ -120,7 +122,7 @@ func TestSegmentedCheckpointChainMatchesBuild(t *testing.T) {
 	// The live batch-ingested engine matches the one-shot Build (the core
 	// determinism contract); the restored engine must match the live one.
 	assertEngineMatchesBuild(t, eng, want, "live-chain")
-	restored, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), store)
+	restored, err := Restore(bytes.NewReader(manifest.Bytes()), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,21 +135,21 @@ func TestSegmentedCheckpointChainMatchesBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	manifest.Reset()
-	if err := restored.Snapshot(&manifest); err != nil {
+	if err := restored.Checkpoint(&manifest); err != nil {
 		t.Fatal(err)
 	}
-	again, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), store)
+	again, err := Restore(bytes.NewReader(manifest.Bytes()), store)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertRestoredMatches(t, again, restored, "restored-twice")
 }
 
-// TestMonolithicRestoresIntoSegmentedEngine is the upgrade road: a v4
-// monolithic snapshot restores through RestoreEngineWithStore
-// byte-equivalently to the plain RestoreEngine path, and the store-backed
-// engine then finishes the corpus and checkpoints segmentedly.
-func TestMonolithicRestoresIntoSegmentedEngine(t *testing.T) {
+// TestBundleRestoresIntoStoreBackedEngine: an Export bundle restores into
+// a store-backed engine byte-equivalently to the storeless restore, the
+// store-backed engine then finishes the corpus, and its first checkpoint
+// re-bases every section into the store.
+func TestBundleRestoresIntoStoreBackedEngine(t *testing.T) {
 	ds, reps := miniDataset(t)
 	want, err := Build(ds, reps, DefaultConfig())
 	if err != nil {
@@ -158,70 +160,82 @@ func TestMonolithicRestoresIntoSegmentedEngine(t *testing.T) {
 	if _, err := eng.Ingest(Batch{Entries: ds.Entries[:half], Reports: reps[:1], At: ds.CollectedAt}); err != nil {
 		t.Fatal(err)
 	}
-	var mono bytes.Buffer
-	if err := eng.Snapshot(&mono); err != nil { // no store attached: v4 monolithic
+	var bundle bytes.Buffer
+	if err := eng.Export(&bundle); err != nil {
 		t.Fatal(err)
 	}
 
-	plain, err := RestoreEngine(bytes.NewReader(mono.Bytes()))
+	plain, err := Restore(bytes.NewReader(bundle.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if plain.Store() != nil {
+		t.Fatal("storeless restore attached a store")
 	}
 	store := openTestStore(t)
-	segmented, err := RestoreEngineWithStore(bytes.NewReader(mono.Bytes()), store)
+	backed, err := Restore(bytes.NewReader(bundle.Bytes()), store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := engineStateBytes(t, plain), engineStateBytes(t, segmented); !bytes.Equal(a, b) {
-		t.Fatal("v4 restored through the store differs from the plain restore")
+	if a, b := engineStateBytes(t, plain), engineStateBytes(t, backed); !bytes.Equal(a, b) {
+		t.Fatal("bundle restored into a store differs from the storeless restore")
 	}
-	if segmented.Store() != store {
-		t.Fatal("store not attached after monolithic restore")
+	if backed.Store() != store {
+		t.Fatal("store not attached after bundle restore")
 	}
 
-	// First checkpoint after the upgrade re-bases everything into the store;
-	// a fresh restore from it matches the finished corpus.
-	if _, err := segmented.Ingest(Batch{Entries: ds.Entries[half:], Reports: reps[1:]}); err != nil {
+	// First checkpoint after the restore re-bases everything into the
+	// store; a fresh restore from it matches the finished corpus.
+	if _, err := backed.Ingest(Batch{Entries: ds.Entries[half:], Reports: reps[1:]}); err != nil {
 		t.Fatal(err)
 	}
 	var manifest bytes.Buffer
-	if err := segmented.Snapshot(&manifest); err != nil {
+	if err := backed.Checkpoint(&manifest); err != nil {
 		t.Fatal(err)
 	}
 	if store.Len() == 0 {
-		t.Fatal("upgrade checkpoint wrote no blobs to the store")
+		t.Fatal("first checkpoint wrote no blobs to the store")
 	}
-	// The live upgraded engine finished the corpus by real ingest, so it
-	// must match Build; the restore of its manifest must match it.
-	assertEngineMatchesBuild(t, segmented, want, "upgraded-live")
-	restored, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), store)
+	var man manifestSnapshot
+	if err := json.Unmarshal(manifest.Bytes(), &man); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range sectionNames {
+		if refs := man.Sections[name]; len(refs) > 1 {
+			t.Errorf("first checkpoint left section %s a chain of %d chunks, want one re-base", name, len(refs))
+		}
+	}
+	// The live engine finished the corpus by real ingest, so it must match
+	// Build; the restore of its manifest must match it.
+	assertEngineMatchesBuild(t, backed, want, "bundle-backed-live")
+	restored, err := Restore(bytes.NewReader(manifest.Bytes()), store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertRestoredMatches(t, restored, segmented, "upgraded-restored")
+	assertRestoredMatches(t, restored, backed, "bundle-backed-restored")
 }
 
-// TestRestoreVersionErrors pins the two refusal messages: a pre-v3 snapshot
-// names the minimum supported version, and a v5 manifest fed to the
-// monolithic reader points at RestoreEngineWithStore / -store.
+// TestRestoreVersionErrors pins the refusal messages: a v3/v4 monolithic
+// document (or any other unknown version) is rejected naming its version,
+// with or without a store, and a v5 manifest without its store points at
+// RestoreEngineWithStore / -store.
 func TestRestoreVersionErrors(t *testing.T) {
-	_, err := RestoreEngine(strings.NewReader(`{"version":2}`))
-	if err == nil {
-		t.Fatal("RestoreEngine accepted a version-2 snapshot")
-	}
-	for _, want := range []string{"version 2", "minimum supported version 3"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("pre-v3 error %q does not mention %q", err, want)
+	for _, v := range []int{2, 3, 4, 6} {
+		doc := fmt.Sprintf(`{"version":%d,"config":{},"dataset":{},"graph":{}}`, v)
+		for _, st := range []*castore.Store{nil, openTestStore(t)} {
+			_, err := Restore(strings.NewReader(doc), st)
+			if err == nil {
+				t.Fatalf("Restore accepted a version-%d document (store %v)", v, st != nil)
+			}
+			for _, want := range []string{fmt.Sprintf("version %d", v), "no longer read"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("version-%d error %q does not mention %q", v, err, want)
+				}
+			}
 		}
 	}
-	// RestoreEngineWithStore shares the floor (it routes old versions to the
-	// monolithic reader).
-	if _, err := RestoreEngineWithStore(strings.NewReader(`{"version":2}`), openTestStore(t)); err == nil ||
-		!strings.Contains(err.Error(), "minimum supported version") {
-		t.Errorf("RestoreEngineWithStore pre-v3 error = %v", err)
-	}
 
-	// A real manifest through the wrong reader.
+	// A real manifest without its store.
 	ds, reps := miniDataset(t)
 	store := openTestStore(t)
 	eng := NewEngine(DefaultConfig())
@@ -230,17 +244,34 @@ func TestRestoreVersionErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	var manifest bytes.Buffer
-	if err := eng.Snapshot(&manifest); err != nil {
+	if err := eng.Checkpoint(&manifest); err != nil {
 		t.Fatal(err)
 	}
-	_, err = RestoreEngine(bytes.NewReader(manifest.Bytes()))
+	_, err := Restore(bytes.NewReader(manifest.Bytes()), nil)
 	if err == nil {
-		t.Fatal("RestoreEngine accepted a v5 manifest")
+		t.Fatal("Restore accepted a v5 manifest without a store")
 	}
 	for _, want := range []string{"segmented manifest", "RestoreEngineWithStore", "-store"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("v5 error %q does not mention %q", err, want)
 		}
+	}
+}
+
+// TestCheckpointNeedsStore: a storeless engine refuses to checkpoint and
+// writes nothing.
+func TestCheckpointNeedsStore(t *testing.T) {
+	ds, reps := miniDataset(t)
+	eng := NewEngine(DefaultConfig())
+	if _, err := eng.Ingest(Batch{Entries: ds.Entries, Reports: reps, At: ds.CollectedAt}); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := eng.Checkpoint(&out); err == nil || !strings.Contains(err.Error(), "content store") {
+		t.Fatalf("storeless Checkpoint error = %v, want a missing-store refusal", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("refused checkpoint wrote %d bytes", out.Len())
 	}
 }
 
@@ -272,7 +303,7 @@ func TestCompactionKeepsManifestRestorable(t *testing.T) {
 			t.Fatal(err)
 		}
 		manifest.Reset()
-		if err := eng.Snapshot(&manifest); err != nil {
+		if err := eng.Checkpoint(&manifest); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -306,7 +337,7 @@ func TestCompactionKeepsManifestRestorable(t *testing.T) {
 		t.Fatalf("SegmentCount after compaction = %d, want 1", store.SegmentCount())
 	}
 	assertEngineMatchesBuild(t, eng, want, "live-pre-compaction")
-	restored, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), store)
+	restored, err := Restore(bytes.NewReader(manifest.Bytes()), store)
 	if err != nil {
 		t.Fatalf("restore after compaction: %v", err)
 	}
@@ -316,7 +347,7 @@ func TestCompactionKeepsManifestRestorable(t *testing.T) {
 	if _, err := eng.Ingest(Batch{Entries: ds.Entries[:third]}); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Snapshot(io.Discard); err != nil {
+	if err := eng.Checkpoint(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }

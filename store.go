@@ -1,10 +1,10 @@
 package malgraph
 
-// Segmented checkpoints: with a content-addressed store attached, the
-// pipeline's engine checkpoints as a small manifest (written wherever the
-// snapshot used to go — same atomic-rename and WAL-truncation contracts)
-// plus delta chunks in the store, so checkpoint cost tracks the ingest
-// delta instead of the corpus. See internal/castore and core snapshot v5.
+// Checkpoints need a content-addressed store: the pipeline's engine
+// checkpoints as a small manifest (written through Pipeline.Checkpoint's
+// persist callback — atomic-rename and WAL-truncation contracts) plus delta
+// chunks in the store, so checkpoint cost tracks the ingest delta instead
+// of the corpus. See internal/castore and core's snapshot5.go.
 
 import (
 	"fmt"
@@ -14,10 +14,10 @@ import (
 	"malgraph/internal/core"
 )
 
-// AttachStore routes every future engine checkpoint through the segmented
-// v5 path backed by st and starts delta tracking. Attach before the first
-// Checkpoint; the first checkpoint after attaching writes the full state
-// into the store (later ones write only what changed).
+// AttachStore enables Checkpoint against st and starts delta tracking.
+// Attach before the first Checkpoint; the first checkpoint after attaching
+// writes the full state into the store (later ones write only what
+// changed).
 func (p *Pipeline) AttachStore(st *castore.Store) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -40,15 +40,15 @@ func (p *Pipeline) LiveRefs() map[string]bool {
 	return p.Engine.LiveRefs()
 }
 
-// RestoreEngineWithStore is RestoreEngine for store-backed checkpoints: a
-// v5 manifest resolves its chunk references against st, and a monolithic
-// v3/v4 snapshot restores as before and then has the store attached (the
-// upgrade path — its first checkpoint re-bases everything into the store).
-// Either way the pipeline keeps checkpointing segmentedly afterwards.
+// RestoreEngineWithStore swaps in an engine restored by core.Restore: a v5
+// manifest resolves its chunk references against st and keeps appending to
+// the same chunk chains; a SnapshotEngine bundle restores from its own
+// bytes and, with st non-nil, attaches st so the first checkpoint re-bases
+// everything into it.
 func (p *Pipeline) RestoreEngineWithStore(r io.Reader, st *castore.Store) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	eng, err := core.RestoreEngineWithStore(r, st)
+	eng, err := core.Restore(r, st)
 	if err != nil {
 		return fmt.Errorf("malgraph: restore: %w", err)
 	}
