@@ -3,8 +3,12 @@
 //
 //   - duplicated: the same package reported by different sources, matched on
 //     name+version and confirmed by SHA-256 when both artifacts exist (§III-A).
-//   - similar: packages sharing a code base, recovered by the embedding +
-//     K-Means + silhouette pipeline (§III-B).
+//   - similar: packages sharing a code base (§III-B). Each artifact is
+//     embedded and SimHash-fingerprinted; a verified LSH index splits every
+//     ecosystem into partitions (shared band and cosine ≥ 0.7,
+//     transitively); each partition is refined around one K-Means centroid
+//     and kept only if it passes the size and silhouette (≥ 0.3) filters,
+//     so a partition yields at most one cluster.
 //   - dependency: dependent-hidden attacks, extracted from manifests and
 //     Table II regex scans over source (§III-C).
 //   - co-existing: packages named together by the same security report

@@ -58,7 +58,6 @@ import (
 	"malgraph/internal/reports"
 	"malgraph/internal/sources"
 	"malgraph/internal/textsim"
-	"malgraph/internal/xrand"
 )
 
 // Batch is one ingest installment: new dataset entries with their source
@@ -165,7 +164,7 @@ type ecoShard struct {
 	items []textsim.Item
 	// flat caches the shard's flattened cluster list between ingests so a
 	// dirty batch re-copies only the suffix from the first changed partition
-	// key onward instead of rebuilding the whole list (see flattenLocked).
+	// key onward instead of rebuilding the whole list (see flatClusters).
 	flat flatClusters
 	// lsh partitions the shard's items by verified band-candidate
 	// connectivity under cfg.Cluster (LSHBands, Threshold) — the unit of
@@ -655,8 +654,8 @@ func (e *Engine) applyShardsLocked(changes []entryChange, st *IngestStats) error
 	// touches its own ecoShard state (no two goroutines share one), the
 	// now-read-only shards map and the read-only scanner/embedder, so the
 	// fan-out is race-free; per-shard work is itself deterministic
-	// (order-preserving inner maps, sorted partition keys, content-derived
-	// RNG streams), so the plans are byte-identical under any worker count.
+	// (order-preserving inner maps, sorted partition keys), so the plans are
+	// byte-identical under any worker count.
 	plans := parallel.Map(len(ecos), func(i int) *shardPlan {
 		return e.planShardLocked(ecos[i], byEco[ecos[i]])
 	})
@@ -863,18 +862,15 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 		plan.dirtyMembers = append(plan.dirtyMembers, members...)
 	}
 	// Re-cluster dirty partitions concurrently. Each partition's items are
-	// sorted by node ID and its RNG stream is derived from its canonical key
-	// — both content-derived, so any batch order (and a one-shot Build)
-	// computes identical clusters per partition.
+	// sorted by node ID — content-derived, so any batch order (and a
+	// one-shot Build) computes identical clusters per partition.
 	clustersByJob := parallel.Map(len(jobs), func(i int) []textsim.Cluster {
 		sc, _ := e.clusterScratch.Get().(*textsim.Scratch)
 		if sc == nil {
 			sc = textsim.NewScratch()
 		}
 		defer e.clusterScratch.Put(sc)
-		job := jobs[i]
-		rng := xrand.New(e.cfg.Seed).Derive("similar/" + eco.String() + "/" + job.key)
-		return textsim.ClusterItemsScratch(job.items, e.cfg.Cluster, rng, sc)
+		return textsim.ClusterItemsScratch(jobs[i].items, e.cfg.Cluster, nil, sc)
 	})
 	for i, job := range jobs {
 		clusters := clustersByJob[i]
@@ -983,23 +979,6 @@ func (f *flatClusters) flatten(parts map[string][]textsim.Cluster) []textsim.Clu
 	f.keys, f.offsets, f.list = keys, offsets, next
 	f.dirty, f.firstDirty, f.ready = false, "", true
 	return f.list
-}
-
-// flattenClusters serialises a partition→clusters map into one deterministic
-// per-ecosystem list, ordered by canonical partition key.
-func flattenClusters(parts map[string][]textsim.Cluster) []textsim.Cluster {
-	keys := make([]string, 0, len(parts))
-	total := 0
-	for k, cs := range parts {
-		keys = append(keys, k)
-		total += len(cs)
-	}
-	sort.Strings(keys)
-	out := make([]textsim.Cluster, 0, total)
-	for _, k := range keys {
-		out = append(out, parts[k]...)
-	}
-	return out
 }
 
 // fullRejoinThreshold is the report-corpus size below which the full-rebuild

@@ -795,8 +795,8 @@ func restoreFromParts(man *manifestSnapshot, ds *collect.Result, g *graph.Graph,
 			return nil, fmt.Errorf("restore: unknown ecosystem %q in items", name)
 		}
 		sh := e.shardLocked(eco)
-		// Headroom keeps the first post-restore inserts from recopying the
-		// whole ID-sorted slice (insertItem shifts in place within capacity).
+		// Headroom lets the first post-restore merges (mergeItems) splice
+		// new items in place instead of reallocating the ID-sorted slice.
 		restored := make([]textsim.Item, 0, len(items)+len(items)/8+16)
 		for _, it := range items {
 			hash, err := strconv.ParseUint(it.Hash, 16, 64)
@@ -834,7 +834,7 @@ func restoreFromParts(man *manifestSnapshot, ds *collect.Result, g *graph.Graph,
 		}
 		sh.clustersByPart = parts
 		//malgraph:nondeterm-ok eco is a bijective rename of the range key, so this writes each ecosystem exactly once
-		e.mg.SimilarClusters[eco] = flattenClusters(parts)
+		e.mg.SimilarClusters[eco] = sh.flat.flatten(parts)
 	}
 
 	// Rebuild the in-memory indexes from the merged dataset and caches.

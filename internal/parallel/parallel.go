@@ -1,10 +1,9 @@
 // Package parallel provides the small, deterministic fan-out primitives the
 // pipeline's hot paths share. Every helper preserves result order (workers
-// race, outputs do not), and chunked reductions use boundaries that depend
-// only on the input size — never on the worker count — so a computation run
-// under GOMAXPROCS=1 and GOMAXPROCS=N produces bit-identical results. That
-// invariant is what lets core.Build promise "parallel == sequential graph"
-// for a fixed seed.
+// race, outputs do not) and no helper folds results across iterations, so a
+// computation run under GOMAXPROCS=1 and GOMAXPROCS=N produces bit-identical
+// results. That invariant is what lets core.Build promise "parallel ==
+// sequential graph" for a fixed seed.
 package parallel
 
 import (
@@ -26,8 +25,8 @@ func Workers() int {
 // ForEach runs fn(i) for every i in [0, n), fanning out across Workers()
 // goroutines. Iterations must be independent; fn writes to disjoint state
 // (typically out[i]). Order of execution is unspecified, so fn must not
-// fold floating-point results across iterations — use ForEachChunk when a
-// deterministic reduction is needed.
+// fold floating-point results across iterations; reduce over the per-index
+// outputs afterwards, in index order.
 func ForEach(n int, fn func(i int)) {
 	w := Workers()
 	if w == 1 || n <= 1 {
@@ -63,35 +62,6 @@ func Map[T any](n int, fn func(i int) T) []T {
 	out := make([]T, n)
 	ForEach(n, func(i int) { out[i] = fn(i) })
 	return out
-}
-
-// ForEachChunk partitions [0, n) into fixed chunks of size chunk (the final
-// chunk may be short) and runs fn(chunkIndex, lo, hi) for each. Chunk
-// boundaries depend only on n and chunk, so per-chunk partial results merged
-// in chunk-index order are identical under any worker count — the building
-// block for deterministic parallel reductions over floating-point data.
-func ForEachChunk(n, chunk int, fn func(ci, lo, hi int)) {
-	if chunk <= 0 {
-		chunk = 1
-	}
-	nchunks := (n + chunk - 1) / chunk
-	ForEach(nchunks, func(ci int) {
-		lo := ci * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		fn(ci, lo, hi)
-	})
-}
-
-// NumChunks returns the number of chunks ForEachChunk will produce, for
-// callers pre-sizing per-chunk accumulators.
-func NumChunks(n, chunk int) int {
-	if chunk <= 0 {
-		chunk = 1
-	}
-	return (n + chunk - 1) / chunk
 }
 
 // ForEachErr runs fn(i) for every i in [0, n) like ForEach and returns the

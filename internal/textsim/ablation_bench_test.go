@@ -1,15 +1,13 @@
 package textsim
 
 // Ablation benchmarks for the similarity pipeline's design choices:
-// LSH band count (candidate recall vs candidate volume), embedding
-// dimensionality (speed vs separation), and the rescue-merge pass.
+// embedding dimensionality (speed vs separation) and the pooled scratch of
+// per-partition clustering.
 
 import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"malgraph/internal/xrand"
 )
 
 // ablationCorpus builds nFamilies code families with variants plus
@@ -47,27 +45,14 @@ func ablationCorpus(nFamilies, perFamily, singletons int, cfg EmbedConfig) []Ite
 	return items
 }
 
-// BenchmarkAblation_LSHBands sweeps the SimHash band count. More, narrower
-// bands raise candidate recall (fewer missed variants) at the cost of more
-// cosine verifications.
-func BenchmarkAblation_LSHBands(b *testing.B) {
-	items := ablationCorpus(30, 8, 200, DefaultEmbedConfig())
-	for _, bands := range []int{2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("bands=%d", bands), func(b *testing.B) {
-			cfg := DefaultClusterConfig()
-			cfg.LSHBands = bands
-			var clusters []Cluster
-			for i := 0; i < b.N; i++ {
-				clusters = ClusterItems(items, cfg, xrand.New(1))
-			}
-			recovered := 0
-			for _, c := range clusters {
-				recovered += len(c.Members)
-			}
-			b.ReportMetric(float64(len(clusters)), "clusters")
-			b.ReportMetric(float64(recovered), "clustered_items")
-		})
+// clusterAll clusters every partition through sc (nil: a fresh scratch per
+// call) and returns the surviving clusters.
+func clusterAll(parts [][]Item, sc *Scratch) []Cluster {
+	var out []Cluster
+	for _, part := range parts {
+		out = append(out, ClusterItemsScratch(part, DefaultClusterConfig(), nil, sc)...)
 	}
+	return out
 }
 
 // BenchmarkAblation_EmbeddingDim sweeps the per-snippet hash dimensionality:
@@ -76,11 +61,11 @@ func BenchmarkAblation_EmbeddingDim(b *testing.B) {
 	for _, dim := range []int{16, 32, 64, 128} {
 		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) {
 			cfg := EmbedConfig{SnippetTokens: 512, SnippetDim: dim, MaxSnippets: 4}
-			items := ablationCorpus(30, 8, 200, cfg)
+			parts := partitionCorpus(ablationCorpus(30, 8, 200, cfg), DefaultClusterConfig())
 			b.ResetTimer()
 			var clusters []Cluster
 			for i := 0; i < b.N; i++ {
-				clusters = ClusterItems(items, DefaultClusterConfig(), xrand.New(1))
+				clusters = clusterAll(parts, nil)
 			}
 			pure := 0
 			for _, c := range clusters {
@@ -102,42 +87,25 @@ func BenchmarkAblation_EmbeddingDim(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_RescueMerge toggles the centroid rescue pass by raising
-// the LSH band width so much that LSH alone misses variants.
-func BenchmarkAblation_RescueMerge(b *testing.B) {
-	items := ablationCorpus(20, 6, 100, DefaultEmbedConfig())
-	cfg := DefaultClusterConfig()
-	cfg.LSHBands = 2 // coarse bands: LSH alone misses drifted variants
-	var clusters []Cluster
-	for i := 0; i < b.N; i++ {
-		clusters = ClusterItems(items, cfg, xrand.New(1))
-	}
-	total := 0
-	for _, c := range clusters {
-		total += len(c.Members)
-	}
-	b.ReportMetric(float64(total), "clustered_items")
-}
-
-// BenchmarkClusterItems_ScratchReuse measures the steady-state allocation
-// profile of repeated clustering through one pooled Scratch — the incremental
-// engine's per-partition re-clustering pattern — against the scratch-free
-// baseline BenchmarkClusterItems_NoScratch.
-func BenchmarkClusterItems_NoScratch(b *testing.B) {
-	items := ablationCorpus(30, 8, 200, DefaultEmbedConfig())
+// BenchmarkClusterPartitions_ScratchReuse measures the steady-state
+// allocation profile of clustering partition after partition through one
+// pooled Scratch — the incremental engine's re-clustering pattern — against
+// the scratch-free baseline BenchmarkClusterPartitions_NoScratch.
+func BenchmarkClusterPartitions_NoScratch(b *testing.B) {
+	parts := partitionCorpus(ablationCorpus(30, 8, 200, DefaultEmbedConfig()), DefaultClusterConfig())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ClusterItems(items, DefaultClusterConfig(), xrand.New(1))
+		clusterAll(parts, nil)
 	}
 }
 
-func BenchmarkClusterItems_ScratchReuse(b *testing.B) {
-	items := ablationCorpus(30, 8, 200, DefaultEmbedConfig())
+func BenchmarkClusterPartitions_ScratchReuse(b *testing.B) {
+	parts := partitionCorpus(ablationCorpus(30, 8, 200, DefaultEmbedConfig()), DefaultClusterConfig())
 	sc := NewScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ClusterItemsScratch(items, DefaultClusterConfig(), xrand.New(1), sc)
+		clusterAll(parts, sc)
 	}
 }

@@ -5,10 +5,11 @@ import "sort"
 // LSHIndex maintains the verified similarity-partition structure of a
 // growing item corpus. Two items belong to the same partition when they are
 // connected, transitively, by *verified candidate pairs*: fingerprints
-// colliding in at least one SimHash band (the LSH candidate relation of
-// ClusterItems step 1) whose vectors also clear the cosine threshold (the
-// verification of step 2). Partitions are therefore the connected components
-// of the verified-similarity graph — real code families with bounded size.
+// colliding in at least one SimHash band (the LSH candidate relation) whose
+// vectors also clear the cosine threshold (the verification). Partitions are
+// therefore the connected components of the verified-similarity graph — real
+// code families with bounded size — and each one is clustered on its own by
+// ClusterItemsScratch.
 //
 // Verification is what keeps partitions meaningful at scale: with b bands of
 // 64/b bits, raw band collisions percolate once an ecosystem outgrows the
@@ -18,11 +19,15 @@ import "sort"
 // relation is pairwise content — "shares a band AND cosine ≥ threshold" —
 // so partitions stay family-sized however large the corpus grows.
 //
-// Identity is content-derived throughout: a partition's canonical key is the
-// lexicographically smallest member ID, and membership depends only on the
-// (id, fingerprint, vector) set — never on insertion order. Adding the same
+// A partition's canonical key is the lexicographically smallest member ID.
+// While no band bucket holds more than the probe cap (see
+// ClusterConfig.MaxBucketProbe), membership depends only on the
+// (id, fingerprint, vector) set, not on insertion order: adding the same
 // items in any order yields the same partitions with the same keys, which is
 // what lets batch-partitioned ingest reproduce a one-shot build exactly.
+// Once a bucket passes the cap, which members a new item is verified against
+// depends on what had arrived before it, so two insertion orders can split
+// or merge partitions differently.
 //
 // An LSHIndex is not safe for concurrent use; the engine serializes access
 // under its ingest lock and hands immutable member snapshots to workers.
@@ -52,10 +57,9 @@ type LSHIndex struct {
 }
 
 // NewLSHIndex creates an empty index whose candidate relation — band count
-// and cosine verification threshold — matches exactly what ClusterItems
-// computes under cfg, including its zero-value fallbacks (the two share one
-// normalization, ClusterConfig.candidateParams). Cluster the partitions with
-// the same cfg.
+// and cosine verification threshold — comes from cfg, with the same
+// zero-Threshold fallback ClusterItemsScratch applies. Cluster the
+// partitions with the same cfg.
 func NewLSHIndex(cfg ClusterConfig) *LSHIndex {
 	bands, threshold := cfg.candidateParams()
 	return &LSHIndex{
@@ -109,8 +113,8 @@ func (x *LSHIndex) union(a, b int) {
 // Add indexes one item, verifying it against every item it shares a band
 // bucket with and merging its partition with each verified match. The vector
 // is retained by reference (items are immutable once ingested). Re-adding a
-// known ID is a no-op. Cost is O(bands · bucket load) dot products — the
-// candidate volume ClusterItems would verify for the same item.
+// known ID is a no-op. Cost is O(bands · min(bucket load, probe cap)) dot
+// products.
 func (x *LSHIndex) Add(id string, hash uint64, vec []float64) {
 	if _, ok := x.slot[id]; ok {
 		return
@@ -123,18 +127,16 @@ func (x *LSHIndex) Add(id string, hash uint64, vec []float64) {
 	x.size = append(x.size, 1)
 	x.minSlot = append(x.minSlot, s)
 	x.members = append(x.members, []int{s})
-	// bandKey is the same keyspace ClusterItems buckets with (bands is
-	// clamped to [1, 16] by candidateParams, so the band tag fits the top
-	// nibble).
+	// bands is clamped to [1, 16] by candidateParams, so the band tag fits
+	// the top nibble of bandKey.
 	for bi := 0; bi < x.bands; bi++ {
 		key := bandKey(hash, x.bands, bi)
 		bucket := x.buckets[key]
 		probe := bucket
 		if x.probeCap > 0 && len(probe) > x.probeCap {
-			// Degenerate bucket: verify only against the ID-smallest members.
-			// Every past member was probed against this same prefix when it
-			// arrived, so a family that clears the threshold still unions
-			// through the prefix; only threshold-marginal merges can be lost.
+			// Degenerate bucket: verify only against the ID-smallest members
+			// present now. The prefix shifts as ID-smaller items arrive, so
+			// past the cap the unions found depend on insertion order.
 			probe = probe[:x.probeCap]
 		}
 		for _, m := range probe {
@@ -212,4 +214,45 @@ func (x *LSHIndex) DrainRetired() []string {
 	sort.Strings(out)
 	x.retired = make(map[string]bool)
 	return out
+}
+
+// probeCap resolves MaxBucketProbe's zero/negative conventions.
+func (c ClusterConfig) probeCap() int {
+	switch {
+	case c.MaxBucketProbe < 0:
+		return 0 // explicit "unlimited"
+	case c.MaxBucketProbe == 0:
+		return DefaultMaxBucketProbe
+	default:
+		return c.MaxBucketProbe
+	}
+}
+
+// candidateParams resolves the (bands, threshold) pair defining the LSH
+// candidate relation under this config: Threshold == 0 swaps in the full
+// defaults, as ClusterItemsScratch does, and the band count falls back to 4
+// when non-positive and is clamped to 16.
+func (c ClusterConfig) candidateParams() (bands int, threshold float64) {
+	if c.Threshold == 0 {
+		c = DefaultClusterConfig()
+	}
+	bands = c.LSHBands
+	if bands <= 0 {
+		bands = 4
+	}
+	if bands > 16 {
+		// The bucket keyspace tags the band index in the key's top nibble
+		// (bandKey), and past 16 bands the 4-bit-wide bands stop being
+		// selective anyway — clamp rather than silently collide band tags.
+		bands = 16
+	}
+	return bands, c.Threshold
+}
+
+// bandKey returns the LSH bucket key of band bi under nBands bands: the
+// band's fingerprint bits tagged with the band index in the top nibble.
+func bandKey(fingerprint uint64, nBands, bi int) uint64 {
+	width := 64 / nBands
+	mask := uint64(1)<<uint(width) - 1
+	return uint64(bi)<<60 | ((fingerprint >> uint(bi*width)) & mask)
 }

@@ -3,6 +3,7 @@ package textsim
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"malgraph/internal/xrand"
@@ -129,60 +130,61 @@ func TestLSHIndexOrderIndependence(t *testing.T) {
 	}
 }
 
-// TestLSHPartitionsCoverClusters pins the structural invariant the engine's
-// partial re-clustering rests on: for a family-structured corpus, whole-run
-// clusters never span verified partitions, and clustering each partition
-// separately recovers the same cluster memberships. (Silhouette values may
-// legitimately differ — a lone-cluster partition scores its separation
-// against no neighbours — which is the documented banding relaxation; the
-// engine's pinned contract is incremental == one-shot through the same
-// partitioned path, tested at the core and API layers.)
-func TestLSHPartitionsCoverClusters(t *testing.T) {
-	items := makeItems(t, 5, 4) // 5 families × 4 variants (textsim_test.go)
-	cfg := DefaultClusterConfig()
-	whole := ClusterItems(items, cfg, xrand.New(1))
-	if len(whole) == 0 {
-		t.Fatal("fixture produced no clusters")
-	}
-
-	x := NewLSHIndex(cfg)
-	byID := make(map[string]Item)
-	for _, it := range items {
-		x.Add(it.ID, it.Hash, it.Vector)
-		byID[it.ID] = it
-	}
-	rootOf := func(id string) string {
-		root, ok := x.Root(id)
-		if !ok {
-			t.Fatalf("unindexed member %s", id)
-		}
-		return root
-	}
-	var split []Cluster
-	for _, key := range x.Partitions() {
-		var part []Item
-		for _, id := range x.Members(key) {
-			part = append(part, byID[id])
-		}
-		split = append(split, ClusterItems(part, cfg, xrand.New(1))...)
-	}
-	for _, c := range whole {
-		root := rootOf(c.Members[0])
-		for _, m := range c.Members {
-			if rootOf(m) != root {
-				t.Fatalf("cluster spans partitions: %v", c.Members)
+// nearThresholdFamilies builds families whose variants replace a growing
+// share of the base's lines, so cosines with the family drift down through
+// the 0.7 threshold: some variants join a partition through a close sibling
+// yet sit below the threshold against the partition's centroid.
+func nearThresholdFamilies(families, perFamily int) []Item {
+	e := NewEmbedder(EmbedConfig{})
+	var items []Item
+	for f := 0; f < families; f++ {
+		for p := 0; p < perFamily; p++ {
+			var src strings.Builder
+			for k := 0; k < 24; k++ {
+				if k < 2*p {
+					fmt.Fprintf(&src, "def variant%d_%d_step%d(y%d): return mutate%d_%d(y%d)\n", f, p, k, k, p, k, k)
+				} else {
+					fmt.Fprintf(&src, "def family%d_step%d(x%d): return op%d_%d(x%d)\n", f, k, k, f, k, k)
+				}
 			}
+			tokens := Tokenize(src.String())
+			items = append(items, Item{
+				ID:     fmt.Sprintf("f%d-p%02d", f, p),
+				Vector: e.EmbedTokens(tokens),
+				Hash:   SimHash(tokens),
+			})
 		}
 	}
-	members := func(cs []Cluster) map[string]bool {
-		m := make(map[string]bool)
-		for _, c := range cs {
-			m[fmt.Sprintf("%v", c.Members)] = true
+	return items
+}
+
+// TestLSHPartitionsCoverClusters pins what the engine's per-partition
+// clustering rests on: every LSHIndex partition yields at most one cluster,
+// and that cluster's members all lie inside the partition.
+func TestLSHPartitionsCoverClusters(t *testing.T) {
+	items := nearThresholdFamilies(5, 10)
+	parts, clusters := clusterPartitions(items, DefaultClusterConfig())
+	kept, left := 0, 0
+	for i, part := range parts {
+		if len(clusters[i]) > 1 {
+			t.Fatalf("partition %v yields %d clusters", part, len(clusters[i]))
 		}
-		return m
+		in := make(map[string]bool, len(part))
+		for _, it := range part {
+			in[it.ID] = true
+		}
+		for _, c := range clusters[i] {
+			for _, m := range c.Members {
+				if !in[m] {
+					t.Fatalf("cluster member %s lies outside its partition %v", m, part)
+				}
+			}
+			kept += len(c.Members)
+			left += len(part) - len(c.Members)
+		}
 	}
-	if ws, ss := members(whole), members(split); !reflect.DeepEqual(ws, ss) {
-		t.Errorf("cluster memberships differ:\n whole %v\n split %v", ws, ss)
+	if kept == 0 || left == 0 {
+		t.Fatalf("fixture must both cluster items and leave some partition members out (kept %d, left out %d)", kept, left)
 	}
 }
 
@@ -192,16 +194,17 @@ func TestLSHPartitionsCoverClusters(t *testing.T) {
 func TestClusterItemsScratchReuse(t *testing.T) {
 	sc := NewScratch()
 	inputs := [][]Item{
-		makeItems(t, 4, 5),
-		makeItems(t, 2, 3),
+		makeItems(t, 1, 5),
+		nearThresholdFamilies(1, 10),
 		nil,
 		makeItems(t, 3, 1),
-		makeItems(t, 4, 5),
+		makeItems(t, 1, 300), // spans two silhouette groups
+		makeItems(t, 1, 5),
 	}
 	for round := 0; round < 2; round++ { // second pass reuses warmed buffers
 		for i, items := range inputs {
-			want := ClusterItems(items, DefaultClusterConfig(), xrand.New(9))
-			got := ClusterItemsScratch(items, DefaultClusterConfig(), xrand.New(9), sc)
+			want := ClusterItemsScratch(items, DefaultClusterConfig(), nil, nil)
+			got := ClusterItemsScratch(items, DefaultClusterConfig(), nil, sc)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("round %d input %d: scratch result differs", round, i)
 			}

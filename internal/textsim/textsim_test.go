@@ -3,11 +3,10 @@ package textsim
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"malgraph/internal/xrand"
 )
 
 func TestTokenizeBasics(t *testing.T) {
@@ -168,16 +167,21 @@ func popcount(x uint64) int {
 	return n
 }
 
+// TestBands pins the banded LSH keyspace: band bi of nBands is the bi-th
+// 64/nBands-bit slice of the fingerprint, tagged with bi in the top nibble,
+// and the band count falls back to 4 and is clamped to 16.
 func TestBands(t *testing.T) {
-	b := Bands(0xDEADBEEFCAFEF00D, 4)
-	if len(b) != 4 {
-		t.Fatalf("want 4 bands, got %d", len(b))
+	const fp = 0xDEADBEEFCAFEF00D
+	if got := bandKey(fp, 4, 0); got != 0xF00D {
+		t.Fatalf("band 0 = %x", got)
 	}
-	if b[0] != 0xF00D || b[3] != 0xDEAD {
-		t.Fatalf("band extraction wrong: %x", b)
+	if got := bandKey(fp, 4, 3); got != 3<<60|0xDEAD {
+		t.Fatalf("band 3 = %x", got)
 	}
-	if got := Bands(1, 0); len(got) != 4 {
-		t.Fatal("zero bands must default to 4")
+	for _, tc := range []struct{ in, want int }{{0, 4}, {-1, 4}, {8, 8}, {16, 16}, {99, 16}} {
+		if got, _ := (ClusterConfig{Threshold: 0.7, LSHBands: tc.in}).candidateParams(); got != tc.want {
+			t.Fatalf("LSHBands %d resolves to %d bands, want %d", tc.in, got, tc.want)
+		}
 	}
 }
 
@@ -203,9 +207,44 @@ func makeItems(t *testing.T, families int, perFamily int) []Item {
 	return items
 }
 
+// partitionCorpus splits items into their LSHIndex partitions under cfg,
+// in canonical key order — the units the engine clusters.
+func partitionCorpus(items []Item, cfg ClusterConfig) [][]Item {
+	x := NewLSHIndex(cfg)
+	byID := make(map[string]Item, len(items))
+	for _, it := range items {
+		x.Add(it.ID, it.Hash, it.Vector)
+		byID[it.ID] = it
+	}
+	var parts [][]Item
+	for _, key := range x.Partitions() {
+		var part []Item
+		for _, id := range x.Members(key) {
+			part = append(part, byID[id])
+		}
+		parts = append(parts, part)
+	}
+	return parts
+}
+
+// clusterPartitions clusters each LSHIndex partition of items on its own,
+// as the engine does, returning the partitions (canonical key order) and
+// each one's clusters.
+func clusterPartitions(items []Item, cfg ClusterConfig) (parts [][]Item, clusters [][]Cluster) {
+	parts = partitionCorpus(items, cfg)
+	sc := NewScratch()
+	for _, part := range parts {
+		clusters = append(clusters, ClusterItemsScratch(part, cfg, nil, sc))
+	}
+	return parts, clusters
+}
+
 func TestClusterRecoversFamilies(t *testing.T) {
-	items := makeItems(t, 4, 5)
-	clusters := ClusterItems(items, DefaultClusterConfig(), xrand.New(1))
+	_, perPart := clusterPartitions(makeItems(t, 4, 5), DefaultClusterConfig())
+	var clusters []Cluster
+	for _, cs := range perPart {
+		clusters = append(clusters, cs...)
+	}
 	if len(clusters) != 4 {
 		t.Fatalf("want 4 clusters, got %d", len(clusters))
 	}
@@ -229,73 +268,137 @@ func TestClusterRecoversFamilies(t *testing.T) {
 }
 
 func TestClusterDropsSingletons(t *testing.T) {
-	items := makeItems(t, 3, 1) // three unrelated singletons
-	clusters := ClusterItems(items, DefaultClusterConfig(), xrand.New(2))
-	if len(clusters) != 0 {
-		t.Fatalf("singletons must not form subgraphs (MinSize 2): %v", clusters)
+	_, perPart := clusterPartitions(makeItems(t, 3, 1), DefaultClusterConfig()) // three unrelated singletons
+	for _, cs := range perPart {
+		if len(cs) != 0 {
+			t.Fatalf("singletons must not form subgraphs (MinSize 2): %v", cs)
+		}
 	}
 }
 
 func TestClusterEmptyInput(t *testing.T) {
-	if got := ClusterItems(nil, DefaultClusterConfig(), xrand.New(3)); got != nil {
+	if got := ClusterItemsScratch(nil, DefaultClusterConfig(), nil, nil); got != nil {
 		t.Fatal("empty input must give nil clusters")
 	}
 }
 
 func TestClusterDeterminism(t *testing.T) {
-	items := makeItems(t, 3, 4)
-	a := ClusterItems(items, DefaultClusterConfig(), xrand.New(7))
-	b := ClusterItems(items, DefaultClusterConfig(), xrand.New(7))
-	if len(a) != len(b) {
-		t.Fatalf("non-deterministic cluster count: %d vs %d", len(a), len(b))
+	items := makeItems(t, 1, 6)
+	a := ClusterItemsScratch(items, DefaultClusterConfig(), nil, nil)
+	b := ClusterItemsScratch(items, DefaultClusterConfig(), nil, nil)
+	if len(a) != 1 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("non-deterministic clusters:\n%v\n%v", a, b)
 	}
-	for i := range a {
-		if strings.Join(a[i].Members, ",") != strings.Join(b[i].Members, ",") {
-			t.Fatalf("non-deterministic membership at %d", i)
-		}
-	}
+}
+
+// unit returns v scaled to unit length.
+func unit(v ...float64) []float64 {
+	out := append([]float64(nil), v...)
+	normalize(out)
+	return out
 }
 
 func TestKMeansUnassignedBelowThreshold(t *testing.T) {
-	vecs := [][]float64{{1, 0}, {0, 1}}
-	seeds := [][]float64{{1, 0}}
-	assign := KMeans(vecs, seeds, 4, 0.7)
-	if assign[0] != 0 {
-		t.Fatalf("aligned vector unassigned: %v", assign)
+	// The seed centroid is (2, 1)/√5: c's cosine with it is 0.447 < 0.7, so
+	// the refinement keeps only a and b and re-centres on them.
+	items := []Item{
+		{ID: "a", Vector: unit(1, 0)},
+		{ID: "b", Vector: unit(1, 0)},
+		{ID: "c", Vector: unit(0, 1)},
 	}
-	if assign[1] != -1 {
-		t.Fatalf("orthogonal vector must be unassigned: %v", assign)
-	}
-}
-
-func TestKMeansNoSeeds(t *testing.T) {
-	assign := KMeans([][]float64{{1}}, nil, 3, 0.7)
-	if assign[0] != -1 {
-		t.Fatal("no seeds must leave everything unassigned")
+	got := ClusterItemsScratch(items, DefaultClusterConfig(), nil, nil)
+	want := []Cluster{{Members: []string{"a", "b"}, Centroid: []float64{1, 0}, Silhouette: 1, IntraSim: 1}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %+v, want %+v", got, want)
 	}
 }
 
-func TestSimplifiedSilhouetteSeparatedClusters(t *testing.T) {
-	vecs := [][]float64{{1, 0}, {0.99, 0.01}, {0, 1}, {0.01, 0.99}}
-	assign := []int{0, 0, 1, 1}
-	sil := SimplifiedSilhouette(vecs, assign, 2)
-	for c, s := range sil {
-		if s < 0.5 {
-			t.Fatalf("well-separated cluster %d has silhouette %v", c, s)
+func TestClusterNoneClearThreshold(t *testing.T) {
+	// Three orthogonal items: each has cosine 1/√3 ≈ 0.577 with the seed.
+	items := []Item{
+		{ID: "x", Vector: unit(1, 0, 0)},
+		{ID: "y", Vector: unit(0, 1, 0)},
+		{ID: "z", Vector: unit(0, 0, 1)},
+	}
+	if got := ClusterItemsScratch(items, DefaultClusterConfig(), nil, nil); got != nil {
+		t.Fatalf("no item clears the threshold, got %+v", got)
+	}
+}
+
+// TestSimplifiedSilhouetteSingleCluster pins the one-centroid simplified
+// silhouette: with no other centroid, an item at cosine distance a ≤ 1 from
+// the centroid scores 1−a, its cosine, so the score is the members' mean
+// cosine with the centroid.
+func TestSimplifiedSilhouetteSingleCluster(t *testing.T) {
+	items := []Item{
+		{ID: "a", Vector: unit(1, 0)},
+		{ID: "b", Vector: unit(0.8, 0.6)},
+	}
+	got := ClusterItemsScratch(items, DefaultClusterConfig(), nil, nil)
+	if len(got) != 1 || len(got[0].Members) != 2 {
+		t.Fatalf("want one cluster of both items, got %+v", got)
+	}
+	c := got[0]
+	want := (Dot(items[0].Vector, c.Centroid) + Dot(items[1].Vector, c.Centroid)) / 2
+	if math.Abs(c.Silhouette-want) > 1e-12 || math.Abs(c.IntraSim-want) > 1e-12 {
+		t.Fatalf("silhouette %v, intra %v, want %v", c.Silhouette, c.IntraSim, want)
+	}
+	if math.Abs(want-3/math.Sqrt(10)) > 1e-12 {
+		t.Fatalf("mean cosine %v, want 3/√10", want)
+	}
+}
+
+func TestClusterSizeAndSilhouetteFilters(t *testing.T) {
+	items := []Item{
+		{ID: "a", Vector: unit(1, 0)},
+		{ID: "b", Vector: unit(0.8, 0.6)},
+	}
+	cfg := DefaultClusterConfig() // keeps the cluster (TestSimplifiedSilhouetteSingleCluster)
+	small := cfg
+	small.MinSize = 3
+	if got := ClusterItemsScratch(items, small, nil, nil); got != nil {
+		t.Fatalf("MinSize 3 must drop a 2-member cluster, got %+v", got)
+	}
+	tight := cfg
+	tight.MinSilhouette = 0.95 // the cluster scores 3/√10 ≈ 0.949
+	if got := ClusterItemsScratch(items, tight, nil, nil); got != nil {
+		t.Fatalf("MinSilhouette 0.95 must drop the cluster, got %+v", got)
+	}
+}
+
+// TestClusterTrimmedVectors feeds zero-tail-trimmed vectors of different
+// lengths: the result must match the same items padded to full length, and
+// the centroid must cover the longest member.
+func TestClusterTrimmedVectors(t *testing.T) {
+	full := [][]float64{unit(1, 0, 0, 0, 0, 0), unit(0.9, 0.3, 0, 0, 0, 0), unit(0.9, 0, 0, 0, 0, 0.3)}
+	trimmed := make([]Item, len(full))
+	padded := make([]Item, len(full))
+	for i, v := range full {
+		id := fmt.Sprintf("v%d", i)
+		trimmed[i] = Item{ID: id, Vector: TrimZeroTail(v)}
+		padded[i] = Item{ID: id, Vector: v}
+	}
+	if len(trimmed[0].Vector) != 1 || len(trimmed[1].Vector) != 2 {
+		t.Fatalf("fixture vectors not trimmed: %v", trimmed)
+	}
+	got := ClusterItemsScratch(trimmed, DefaultClusterConfig(), nil, nil)
+	want := ClusterItemsScratch(padded, DefaultClusterConfig(), nil, nil)
+	if len(got) != 1 || len(want) != 1 {
+		t.Fatalf("want one cluster each, got %+v and %+v", got, want)
+	}
+	g, w := got[0], want[0]
+	if !reflect.DeepEqual(g.Members, w.Members) || len(g.Members) != 3 {
+		t.Fatalf("members %v, want all of %v", g.Members, w.Members)
+	}
+	if len(g.Centroid) != 6 {
+		t.Fatalf("centroid length %d, want the longest member's 6", len(g.Centroid))
+	}
+	for d := range w.Centroid {
+		if math.Abs(g.Centroid[d]-w.Centroid[d]) > 1e-12 {
+			t.Fatalf("centroid[%d] = %v, want %v", d, g.Centroid[d], w.Centroid[d])
 		}
 	}
-}
-
-func TestSimplifiedSilhouetteSingleCluster(t *testing.T) {
-	vecs := [][]float64{{1, 0}, {1, 0}}
-	sil := SimplifiedSilhouette(vecs, []int{0, 0}, 1)
-	if sil[0] < 0.9 {
-		t.Fatalf("lone tight cluster silhouette %v", sil[0])
-	}
-}
-
-func TestSimplifiedSilhouetteZeroK(t *testing.T) {
-	if got := SimplifiedSilhouette(nil, nil, 0); got != nil {
-		t.Fatal("k=0 must return nil")
+	if math.Abs(g.Silhouette-w.Silhouette) > 1e-12 || math.Abs(g.IntraSim-w.IntraSim) > 1e-12 {
+		t.Fatalf("trimmed scores %v/%v, padded %v/%v", g.Silhouette, g.IntraSim, w.Silhouette, w.IntraSim)
 	}
 }
